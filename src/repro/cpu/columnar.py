@@ -423,26 +423,37 @@ def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.n
     return hit_lanes[sets, within]
 
 
-def _level_outcome_hits(digest, level, ids: np.ndarray) -> np.ndarray:
+def _level_evicts(level, ids: np.ndarray) -> bool:
+    """True when some set of ``level`` sees more distinct lines than it has ways.
+
+    Otherwise the level can never evict on this stream: every access
+    resolves by first-touch residency, with no LRU replay needed.
+    """
+    per_set = np.bincount(np.unique(ids) % level.num_sets, minlength=level.num_sets)
+    return bool(per_set.max(initial=0) > level.associativity)
+
+
+def _level_hits(level, ids: np.ndarray, evicts: bool) -> np.ndarray:
+    """Exact per-access hit mask of ``level`` (the replay only when it evicts)."""
+    if evicts and len(ids):
+        return lru_outcome_bits(ids, level.num_sets, level.associativity)
+    return ~_first_touch_mask(ids)
+
+
+def _fold_level_outcomes(digest, level, hits: np.ndarray, evicts: bool) -> None:
     """Fold one cache level's exact hit/miss outcomes into ``digest``.
 
-    When no set of the level can hold more distinct footprint lines than its
-    associativity, the level can never evict: every access resolves by
-    first-touch residency, which the rank sequence already pins, so a
-    constant marker suffices.  Otherwise the outcome bitmask of the exact
-    LRU replay is folded in.
+    A level that cannot evict contributes a constant marker (its outcomes
+    follow from the first-touch rank sequence, which the digest already
+    pins); otherwise the packed outcome bitmask is folded in.
     """
-    if not len(ids):
+    if not len(hits):
         digest.update(f"{level.name}:empty".encode())
-        return np.zeros(0, dtype=bool)
-    per_set = np.bincount(np.unique(ids) % level.num_sets, minlength=level.num_sets)
-    if per_set.max(initial=0) <= level.associativity:
+    elif not evicts:
         digest.update(f"{level.name}:no-evictions".encode())
-        return ~_first_touch_mask(ids)
-    hits = lru_outcome_bits(ids, level.num_sets, level.associativity)
-    digest.update(f"{level.name}:".encode())
-    digest.update(np.packbits(hits).tobytes())
-    return hits
+    else:
+        digest.update(f"{level.name}:".encode())
+        digest.update(np.packbits(hits).tobytes())
 
 
 class ColumnarTrace(Sequence):
@@ -465,6 +476,8 @@ class ColumnarTrace(Sequence):
         "_signature_ids",
         "_structure_digest",
         "_line_cache",
+        "_level_hits",
+        "_address_digests",
     )
 
     def __init__(
@@ -484,6 +497,8 @@ class ColumnarTrace(Sequence):
         self._signature_ids: Optional[np.ndarray] = None
         self._structure_digest: Optional[bytes] = None
         self._line_cache: Optional[Tuple[int, np.ndarray]] = None
+        self._level_hits: Dict[tuple, Tuple[int, np.ndarray]] = {}
+        self._address_digests: Dict[tuple, bytes] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -554,6 +569,8 @@ class ColumnarTrace(Sequence):
         self._signature_ids = None
         self._structure_digest = None
         self._line_cache = None
+        self._level_hits = {}
+        self._address_digests = {}
 
     # -- materialisation --------------------------------------------------------
 
@@ -813,6 +830,36 @@ class ColumnarTrace(Sequence):
             self._structure_digest = digest.digest()
         return self._structure_digest
 
+    def level_outcomes(self, level, evicts: bool = True) -> np.ndarray:
+        """Per-access hit mask of cache ``level`` over the line stream.
+
+        The exact hit/miss outcome of every cache-line access of the trace
+        (in :meth:`_line_expansion` order) under the level's set-associative
+        LRU state.  Computed once per level geometry and kept as packed
+        bits, so the memoization key and the fast-path oracle share one
+        replay per trace.  A caller that has shown the level cannot evict
+        (``evicts=False``, see :func:`_level_evicts`) spares the replay;
+        the oracle does not check, as the check costs a sort the replay
+        does not need.
+        """
+        key = (level.line_bytes, level.num_sets, level.associativity)
+        entry = self._level_hits.get(key)
+        if entry is None:
+            hits = _level_hits(level, self._line_expansion(level.line_bytes), evicts)
+            entry = (len(hits), np.packbits(hits))
+            self._level_hits[key] = entry
+        count, packed = entry
+        return np.unpackbits(packed, count=count).astype(bool)
+
+    def clear_outcome_caches(self) -> None:
+        """Forget the cached level outcomes and address digests.
+
+        Lets a benchmark time the cache-outcome replay on every repeat over
+        one trace while keeping its other lazily built views warm.
+        """
+        self._level_hits = {}
+        self._address_digests = {}
+
     def address_structure_hash(self, machine) -> bytes:
         """Digest of the cache *behaviour* the address stream induces.
 
@@ -836,8 +883,17 @@ class ColumnarTrace(Sequence):
         on which member of the equivalence class is simulated — even when
         the members' region offsets fall into different cache sets (the case
         for the address-shifted per-core shards of one kernel, whose shifts
-        are rarely multiples of the set spans).
+        are rarely multiples of the set spans).  The digest is computed once
+        per cache geometry of ``machine`` and kept on the trace.
         """
+        key = (machine.l1, machine.l2, machine.prefetch_into_l2)
+        cached = self._address_digests.get(key)
+        if cached is None:
+            cached = self._address_digest(machine)
+            self._address_digests[key] = cached
+        return cached
+
+    def _address_digest(self, machine) -> bytes:
         lines = self._line_expansion(machine.l1.line_bytes)
         digest = hashlib.sha256()
         if not len(lines):
@@ -848,14 +904,20 @@ class ColumnarTrace(Sequence):
         rank[order] = np.arange(len(order), dtype=np.int64)
         digest.update(np.ascontiguousarray(rank[inverse]).tobytes())
 
-        l1_hits = _level_outcome_hits(digest, machine.l1, lines)
+        l1_evicts = _level_evicts(machine.l1, lines)
+        l1_hits = self.level_outcomes(machine.l1, l1_evicts)
+        _fold_level_outcomes(digest, machine.l1, l1_hits, l1_evicts)
         if machine.prefetch_into_l2:
             # The ideal prefetcher guarantees an L2 hit for every demand the
             # simulator issues (both paths pre-register the full footprint).
             digest.update(b"L2:ideal-prefetch")
         else:
             l2_lines = (lines * machine.l1.line_bytes) // machine.l2.line_bytes
-            _level_outcome_hits(digest, machine.l2, l2_lines[~l1_hits])
+            l2_lines = l2_lines[~l1_hits]
+            l2_evicts = _level_evicts(machine.l2, l2_lines)
+            _fold_level_outcomes(
+                digest, machine.l2, _level_hits(machine.l2, l2_lines, l2_evicts), l2_evicts
+            )
         return digest.digest()
 
     def simulation_key(self, machine, block_starts=None) -> Optional[str]:

@@ -14,7 +14,8 @@ strategies are used, picked per run:
 Under the ideal L2 prefetch every L1 miss is an L2 hit by construction, so
 the only data-dependent memory outcome is the L1 lookup — a pure function of
 the line-address sequence, which the columnar trace can replay exactly for
-the whole trace up front (:func:`repro.cpu.columnar.lru_outcome_bits`).  With
+the whole trace up front (:meth:`repro.cpu.columnar.ColumnarTrace.level_outcomes`,
+computed once per trace and shared with the memoization key).  With
 the outcomes scripted (:class:`repro.cpu.memory.ScriptedHierarchy`), each
 simulator step becomes a function of (state, per-op input word), where the
 input word packs the op's timing signature — including the per-op
@@ -54,7 +55,7 @@ import numpy as np
 
 from ..core.engine import EngineConfig
 from ..errors import ConfigurationError
-from .columnar import KIND_CODES, lru_outcome_bits
+from .columnar import KIND_CODES
 from .memory import ScriptedHierarchy
 from .params import MachineParams
 from .simulator import SimulationResult, SimulatorState
@@ -306,13 +307,7 @@ def _build_oracle(machine: MachineParams, columnar, signatures: np.ndarray):
         if counts[mem_mask].min(initial=1) <= 0:
             return None  # zero-byte request: let the exact path raise
 
-    lines = columnar._line_expansion(line_bytes)
-    if len(lines):
-        hit_bits = lru_outcome_bits(
-            lines, machine.l1.num_sets, machine.l1.associativity
-        )
-    else:
-        hit_bits = np.zeros(0, dtype=bool)
+    hit_bits = columnar.level_outcomes(machine.l1)
 
     line_offset = np.concatenate(([0], np.cumsum(counts)))
     total = int(line_offset[-1])

@@ -87,7 +87,9 @@ from .topology import (
 from .trace import TraceSummary, trace_memory_footprint
 
 #: Environment variable disabling block-signature memoization (set to any
-#: value other than ``0``); every core is then simulated individually.
+#: value other than ``0``); every core is then simulated individually.  The
+#: layer-kernel memo of :func:`repro.analysis.runtime.build_layer_kernel`
+#: honours it too.
 NO_MEMO_ENV = "REPRO_NO_MEMO"
 
 

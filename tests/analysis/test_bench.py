@@ -135,3 +135,37 @@ class TestCheckCli:
             main(["bench", "--shape", "64x64x128", "--out", str(out), "--check", str(bad)])
             == 1
         )
+
+
+class TestColdRepeats:
+    def test_every_repeat_replays_the_cache_outcomes(self, monkeypatch):
+        import numpy as np
+
+        import repro.cpu.columnar as columnar
+        from repro.analysis.bench import _best_time
+        from repro.cpu.params import CacheParams
+
+        replays = []
+        original = columnar.lru_outcome_bits
+
+        def counted(ids, num_sets, associativity):
+            replays.append(len(ids))
+            return original(ids, num_sets, associativity)
+
+        monkeypatch.setattr(columnar, "lru_outcome_bits", counted)
+        builder = columnar.TraceBuilder()
+        for line in (0, 2, 4, 0, 2, 4):
+            builder.vector_load(0, line * 64, 64)
+        trace = builder.finish()
+        # Direct-mapped, two sets: lines 0, 2, 4 all collide, so it evicts.
+        level = CacheParams(name="L1D", capacity_bytes=128, associativity=1)
+        expected = original(np.array([0, 2, 4, 0, 2, 4]), 2, 1)
+
+        def run():
+            return trace.level_outcomes(level)
+
+        hits, _ = _best_time(run, min_seconds=float("inf"), max_repeats=3, traces=(trace,))
+        assert np.array_equal(hits, expected)
+        assert len(replays) == 3
+        _best_time(run, min_seconds=float("inf"), max_repeats=3)
+        assert len(replays) == 3  # the last repeat's outcomes were kept

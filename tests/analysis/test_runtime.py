@@ -217,3 +217,95 @@ class TestHeadlineSpeedups:
         assert speedups["2:4"] == pytest.approx(2.20, rel=0.35)
         assert speedups["1:4"] == pytest.approx(3.74, rel=0.35)
         assert speedups["4:4"] < speedups["2:4"] < speedups["1:4"]
+
+
+class TestKernelMemo:
+    """``build_layer_kernel`` shares one program between adjacent equal builds."""
+
+    @pytest.fixture(autouse=True)
+    def _memo_enabled(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_MEMO", raising=False)
+
+    def test_equal_builder_arguments_share_one_program(self):
+        layer = get_layer("BERT-L2")
+        first = build_layer_kernel(
+            layer, SparsityPattern.SPARSE_2_4, get_engine("VEGETA-S-2-2"), max_output_tiles=1
+        )
+        # A different engine that executes the same kernel reuses it.
+        second = build_layer_kernel(
+            layer, SparsityPattern.SPARSE_2_4, get_engine("VEGETA-S-16-2"), max_output_tiles=1
+        )
+        assert second is first
+        other = build_layer_kernel(
+            layer, SparsityPattern.SPARSE_1_4, get_engine("VEGETA-S-16-2"), max_output_tiles=1
+        )
+        assert other is not first
+
+    def test_dense_kernels_are_keyed_by_geometry(self):
+        layer = get_layer("BERT-L2")
+        vegeta = build_layer_kernel(
+            layer, SparsityPattern.DENSE_4_4, get_engine("VEGETA-D-1-2"), max_output_tiles=1
+        )
+        sme = build_layer_kernel(
+            layer, SparsityPattern.DENSE_4_4, resolve_engine("sme"), max_output_tiles=1
+        )
+        assert sme is not vegeta
+        assert sme.geometry is resolve_engine("sme").geometry
+
+    def test_no_memo_switch_builds_afresh(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        layer = get_layer("BERT-L2")
+        engine = get_engine("VEGETA-D-1-2")
+        first = build_layer_kernel(
+            layer, SparsityPattern.DENSE_4_4, engine, max_output_tiles=1
+        )
+        second = build_layer_kernel(
+            layer, SparsityPattern.DENSE_4_4, engine, max_output_tiles=1
+        )
+        assert second is not first
+
+    @pytest.mark.parametrize("mode", ["fast", "exact"])
+    @pytest.mark.parametrize(
+        "pattern, engine_a, engine_b",
+        [
+            (SparsityPattern.DENSE_4_4, "VEGETA-D-1-1", "VEGETA-S-16-2+OF"),
+            (SparsityPattern.SPARSE_2_4, "STC-like", "VEGETA-S-16-2+OF"),
+        ],
+    )
+    def test_sharing_never_changes_a_result(self, mode, pattern, engine_a, engine_b):
+        # Simulating a shared program under one engine must leave nothing
+        # behind — in the trace, its materialised ops or its cached cache
+        # outcomes — that changes the next engine's result.
+        from repro.cpu.simulator import CycleApproximateSimulator
+        from repro.kernels.gemm import build_dense_gemm_kernel
+        from repro.kernels.spmm import build_spmm_kernel
+
+        layer = get_layer("ResNet50-L3")
+        first, second = resolve_engine(engine_a), resolve_engine(engine_b)
+        shared = build_layer_kernel(layer, pattern, first, max_output_tiles=64)
+        assert build_layer_kernel(layer, pattern, second, max_output_tiles=64) is shared
+
+        def run(engine, program):
+            simulator = CycleApproximateSimulator(engine=engine, mode=mode)
+            return simulator.run(program.trace, block_starts=program.block_starts)
+
+        run(first, shared)
+        on_shared = run(second, shared)
+        if pattern is SparsityPattern.DENSE_4_4:
+            fresh = build_dense_gemm_kernel(layer.gemm, max_output_tiles=64)
+        else:
+            fresh = build_spmm_kernel(layer.gemm, pattern, max_output_tiles=64)
+        assert fresh is not shared
+        assert on_shared == run(second, fresh)
+        if mode == "fast":
+            assert on_shared.fast_blocks_skipped > 0
+
+    def test_memoized_fig13_table_equals_unmemoized(self, monkeypatch):
+        from repro.experiments.runner import run_named
+
+        options = {"max_layers": 1}
+        memoized = run_named("fig13", dict(options), cache=False)
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        unmemoized = run_named("fig13", dict(options), cache=False)
+        assert len(memoized) == 30
+        assert memoized == unmemoized

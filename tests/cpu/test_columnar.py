@@ -4,13 +4,21 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import isa
+from repro.core.engine import get_engine
 from repro.core.registers import treg
 from repro.cpu.cache import Cache
-from repro.cpu.columnar import ColumnarTrace, TraceBuilder, lru_outcome_bits
+from repro.cpu.columnar import (
+    ColumnarTrace,
+    TraceBuilder,
+    _level_evicts,
+    lru_outcome_bits,
+)
 from repro.cpu.fastsim import lower_signatures, op_signature
-from repro.cpu.params import CacheParams, default_machine
+from repro.cpu.params import CacheParams, MachineParams, default_machine
+from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.trace import (
     TraceOp,
     TraceOpKind,
@@ -160,6 +168,118 @@ class TestLruOutcomeReplay:
             assert np.array_equal(
                 reference, lru_outcome_bits(ids, num_sets, associativity)
             )
+
+
+def _line_trace(lines):
+    """A trace of one-line vector loads touching ``lines`` in order."""
+    builder = TraceBuilder()
+    for line in lines:
+        builder.vector_load(0, int(line) * 64, 64)
+    return builder.finish()
+
+
+def _level(num_sets, associativity, name="L1D"):
+    return CacheParams(
+        name=name,
+        capacity_bytes=num_sets * associativity * 64,
+        associativity=associativity,
+        line_bytes=64,
+    )
+
+
+class TestLevelOutcomeCache:
+    @pytest.mark.parametrize("evicting", [False, True])
+    @given(
+        num_sets=st.sampled_from([1, 2, 4, 8]),
+        associativity=st.integers(1, 4),
+        draws=st.lists(st.integers(0, 10**6), max_size=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_stream_equals_lru_replay(
+        self, evicting, num_sets, associativity, draws
+    ):
+        capacity = num_sets * associativity
+        if evicting:
+            # Any stream, plus one more distinct line in set 0 than it holds.
+            lines = [d % (4 * capacity) for d in draws]
+            lines += [num_sets * tag for tag in range(associativity + 1)]
+        else:
+            # At most `associativity` distinct lines per set: never evicts.
+            lines = [d % capacity for d in draws]
+        ids = np.asarray(lines, dtype=np.int64)
+        reference = lru_outcome_bits(ids, num_sets, associativity)
+        level = _level(num_sets, associativity)
+        # The eviction check lets a non-evicting level skip the replay;
+        # unchecked, the outcomes come from the replay.
+        evicts = _level_evicts(level, ids)
+        assert evicts is evicting
+        checked = _line_trace(lines)
+        assert np.array_equal(checked.level_outcomes(level, evicts), reference)
+        replayed = _line_trace(lines)
+        assert np.array_equal(replayed.level_outcomes(level), reference)
+        # Served from the cache the second time, unchanged.
+        assert np.array_equal(replayed.level_outcomes(level), reference)
+
+    def test_cache_key_includes_geometry(self):
+        lines = [0, 2, 0, 2, 4, 0, 6, 2]
+        trace = _line_trace(lines)
+        ids = np.asarray(lines, dtype=np.int64)
+        direct = trace.level_outcomes(_level(2, 1))
+        two_way = trace.level_outcomes(_level(4, 2))
+        assert np.array_equal(direct, lru_outcome_bits(ids, 2, 1))
+        assert np.array_equal(two_way, lru_outcome_bits(ids, 4, 2))
+        assert not np.array_equal(direct, two_way)
+
+    def test_pickle_round_trip_drops_the_caches(self):
+        program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
+        trace = program.trace
+        machine = default_machine()
+        key = trace.simulation_key(machine, program.block_starts)
+        trace.level_outcomes(machine.l1)
+        clone = pickle.loads(pickle.dumps(trace))
+        assert clone._level_hits == {} and clone._address_digests == {}
+        assert clone.simulation_key(machine, program.block_starts) == key
+
+    def test_non_evicting_level_skips_the_replay(self, monkeypatch):
+        import repro.cpu.columnar as columnar
+
+        def forbidden(ids, num_sets, associativity):
+            raise AssertionError("replayed a level that cannot evict")
+
+        lines = [0, 1, 0, 1, 2]
+        monkeypatch.setattr(columnar, "lru_outcome_bits", forbidden)
+        level = _level(4, 1)
+        assert _level_evicts(level, np.asarray(lines)) is False
+        hits = _line_trace(lines).level_outcomes(level, evicts=False)
+        assert hits.tolist() == [False, False, True, True, False]
+
+    def test_memo_key_and_oracle_share_one_replay(self, monkeypatch):
+        import repro.cpu.columnar as columnar
+
+        calls = []
+
+        def counted(ids, num_sets, associativity):
+            calls.append(len(ids))
+            return lru_outcome_bits(ids, num_sets, associativity)
+
+        monkeypatch.setattr(columnar, "lru_outcome_bits", counted)
+        # A 1 KiB L1 evicts on this footprint, so the replay cannot be skipped.
+        machine = MachineParams(l1=_level(8, 2))
+        program = build_dense_gemm_kernel(GemmShape(64, 64, 256))
+        engine = get_engine("VEGETA-D-1-2")
+        simulator = CycleApproximateSimulator(machine=machine, engine=engine)
+        key = program.trace.simulation_key(machine, program.block_starts)
+        first = simulator.run(program.trace, block_starts=program.block_starts)
+        assert program.trace.simulation_key(machine, program.block_starts) == key
+        second = simulator.run(program.trace, block_starts=program.block_starts)
+        assert len(calls) == 1
+        assert first == second
+        fresh = build_dense_gemm_kernel(GemmShape(64, 64, 256))
+        exact = CycleApproximateSimulator(
+            machine=machine, engine=engine, mode="exact"
+        ).run(fresh.trace)
+        assert first.core_cycles == exact.core_cycles
+        assert first.memory_counters == exact.memory_counters
 
 
 class TestSimulationKey:
