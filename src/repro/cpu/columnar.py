@@ -842,10 +842,39 @@ class ColumnarTrace(Sequence):
         the oracle does not check, as the check costs a sort the replay
         does not need.
         """
+        return self._outcomes(level, None, evicts)
+
+    def miss_outcomes(self, upper, level, evicts: bool = True) -> np.ndarray:
+        """Per-access hit mask of cache ``level`` over the misses of ``upper``.
+
+        The L2 stream of a machine without the ideal prefetch: the accesses
+        that missed ``upper`` (per :meth:`level_outcomes`), in program order,
+        replayed through ``level``'s LRU state at ``level``'s line size.
+        Cached like :meth:`level_outcomes`, keyed by both geometries.
+        """
+        return self._outcomes(level, upper, evicts)
+
+    def _miss_stream(self, upper, level) -> np.ndarray:
+        """``level``-line ids of the accesses that missed ``upper``.
+
+        The hierarchy forwards a missing ``upper``-line address unchanged,
+        so ``level`` sees it at its own line granularity.
+        """
+        lines = self._line_expansion(upper.line_bytes)
+        missed = lines[~self.level_outcomes(upper)]
+        return (missed * upper.line_bytes) // level.line_bytes
+
+    def _outcomes(self, level, upper, evicts: bool) -> np.ndarray:
         key = (level.line_bytes, level.num_sets, level.associativity)
+        if upper is not None:
+            key += (upper.line_bytes, upper.num_sets, upper.associativity)
         entry = self._level_hits.get(key)
         if entry is None:
-            hits = _level_hits(level, self._line_expansion(level.line_bytes), evicts)
+            if upper is None:
+                ids = self._line_expansion(level.line_bytes)
+            else:
+                ids = self._miss_stream(upper, level)
+            hits = _level_hits(level, ids, evicts)
             entry = (len(hits), np.packbits(hits))
             self._level_hits[key] = entry
         count, packed = entry
@@ -912,12 +941,9 @@ class ColumnarTrace(Sequence):
             # simulator issues (both paths pre-register the full footprint).
             digest.update(b"L2:ideal-prefetch")
         else:
-            l2_lines = (lines * machine.l1.line_bytes) // machine.l2.line_bytes
-            l2_lines = l2_lines[~l1_hits]
-            l2_evicts = _level_evicts(machine.l2, l2_lines)
-            _fold_level_outcomes(
-                digest, machine.l2, _level_hits(machine.l2, l2_lines, l2_evicts), l2_evicts
-            )
+            l2_evicts = _level_evicts(machine.l2, self._miss_stream(machine.l1, machine.l2))
+            l2_hits = self.miss_outcomes(machine.l1, machine.l2, l2_evicts)
+            _fold_level_outcomes(digest, machine.l2, l2_hits, l2_evicts)
         return digest.digest()
 
     def simulation_key(self, machine, block_starts=None) -> Optional[str]:

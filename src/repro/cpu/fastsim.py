@@ -7,65 +7,55 @@ memory addresses changing.  Simulating every repetition with the event-driven
 scoreboard is what forced the Figure 13 flow to truncate traces to a couple
 of output tiles and extrapolate (``simulated_fraction``).
 
-This module removes that bottleneck without giving up fidelity.  Two proof
-strategies are used, picked per run:
-
-**Oracle path** (columnar trace + the paper's prefetch-into-L2 assumption).
-Under the ideal L2 prefetch every L1 miss is an L2 hit by construction, so
-the only data-dependent memory outcome is the L1 lookup — a pure function of
-the line-address sequence, which the columnar trace can replay exactly for
-the whole trace up front (:meth:`repro.cpu.columnar.ColumnarTrace.level_outcomes`,
-computed once per trace and shared with the memoization key).  With
-the outcomes scripted (:class:`repro.cpu.memory.ScriptedHierarchy`), each
+This module removes that bottleneck without giving up fidelity.  The cache
+level that serves each line access is a pure function of the line-address
+sequence: the L1 outcome is an exact LRU replay of the whole line stream,
+the L2 outcome an exact LRU replay of the L1-miss stream (or, under the
+paper's prefetch-into-L2 assumption, an L2 hit by construction), and every
+L2 miss goes to DRAM.  The columnar trace computes these outcomes once per
+trace and cache geometry and shares them with the memoization key
+(:meth:`~repro.cpu.columnar.ColumnarTrace.level_outcomes`,
+:meth:`~repro.cpu.columnar.ColumnarTrace.miss_outcomes`).  With the
+outcomes scripted (:class:`repro.cpu.memory.ScriptedHierarchy`), each
 simulator step becomes a function of (state, per-op input word), where the
 input word packs the op's timing signature — including the per-op
 ``feed_overhead`` of the dual-sparsity metadata intersection — with its
-scripted memory delay and line count.  At every block boundary the state is
-digested into a canonical shift-normalized form
-(:meth:`repro.cpu.simulator.SimulatorState.shift_digest`); a digest match
-against a boundary ``q`` blocks earlier plus element-wise equality of the
-input words over the span to be skipped *proves, by induction over the step
-function*, that the next ``K`` periods replay shifted by a constant
-``K * delta`` — so they are skipped in closed form, with counters advanced by
-exact prefix sums rather than extrapolated deltas.  Intermediate landing
-boundaries are marked as well, so chained jumps (including a final jump to
-the very end of a segment) need no re-validation blocks in between.
+request's scripted delay, line count and DRAM line count.  Given the L2-port
+and DRAM clocks the state already carries, those three numbers fix the
+request's completion and both clock updates.
 
-**Profile path** (op-list traces, or machines without the L2 prefetch, where
-L2/DRAM dynamics are stateful).  The original strategy: simulate blocks
-exactly until ``q`` consecutive block pairs are *shift-invariant* — every
-per-op issue and completion cycle moved forward by the same constant
-``delta`` and the cache counters changed identically — then skip ahead in
-multiples of ``q``, re-validating after every jump.
+At every block boundary the state is digested into a canonical
+shift-normalized form (:meth:`repro.cpu.simulator.SimulatorState.shift_digest`);
+a digest match against a boundary ``q`` blocks earlier plus element-wise
+equality of the input words over the span to be skipped *proves, by
+induction over the step function*, that the next ``K`` periods replay
+shifted by a constant ``K * delta`` — so they are skipped in closed form,
+with counters advanced by exact prefix sums rather than extrapolated deltas.
+Intermediate landing boundaries are marked as well, so chained jumps
+(including a final jump to the very end of a segment) need no re-validation
+blocks in between.  Fast therefore equals exact bit for bit on every
+machine.
 
-Both paths search super-periods up to :func:`resolve_max_super_period`
-blocks: a block whose op count is not a multiple of the issue width only
-repeats its issue alignment every ``issue_width`` blocks, and the dual N:M
-metadata streams of the SpGEMM kernels impose their own (layout-driven)
-cache super-period on top.  Traces with no periodic structure fall back to
-the exact path unchanged.
+Super-periods up to :data:`MAX_SUPER_PERIOD` blocks are searched: a block
+whose op count is not a multiple of the issue width only repeats its issue
+alignment every ``issue_width`` blocks, and the dual N:M metadata streams of
+the SpGEMM kernels impose their own (layout-driven) cache super-period on
+top.  Traces with no periodic structure, and traces with no columnar form,
+get None from :func:`run_fast` and run through the exact path unchanged.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.engine import EngineConfig
-from ..errors import ConfigurationError
-from .columnar import KIND_CODES
-from .memory import ScriptedHierarchy
+from .columnar import KIND_CODES, ColumnarTrace
+from .memory import LEVEL_DRAM, ScriptedHierarchy
 from .params import MachineParams
 from .simulator import SimulationResult, SimulatorState
-from .trace import (
-    TraceOp,
-    TraceOpKind,
-    TraceSummary,
-    summarize_trace,
-    trace_memory_footprint,
-)
+from .trace import TraceOp, TraceOpKind, TraceSummary
 
 #: Segments shorter than this are simply simulated exactly.
 MIN_BLOCKS_TO_SKIP = 4
@@ -73,49 +63,18 @@ MIN_BLOCKS_TO_SKIP = 4
 #: An anchor signature must repeat at least this often to define periodicity.
 MIN_ANCHOR_REPEATS = 3
 
-#: Upper bound on blocks skipped per proven steady-state jump.  On the
-#: profile path the block after a jump is always re-simulated, so this bounds
-#: how long the fast path may coast without re-validating against the real
-#: machine; on the oracle path jumps are proven exact, but the cap still
-#: bounds the boundary marks recorded per jump.
-DEFAULT_MAX_SKIP_BLOCKS = 512
+#: Upper bound on blocks skipped per proven steady-state jump.  Every jump is
+#: proven exact, so the cap only bounds the boundary marks recorded per jump;
+#: longer steady spans are covered by chained jumps.
+MAX_SKIP_BLOCKS = 512
 
-#: Default for the largest super-period (in blocks) considered for the steady
-#: state; override per process with ``REPRO_MAX_SUPER_PERIOD``.  Sized to
-#: cover both the issue-width alignment period and the metadata/cache-set
+#: Largest super-period (in blocks) considered for the steady state.  Sized
+#: to cover both the issue-width alignment period and the metadata/cache-set
 #: super-period of the dual N:M streams in the SpGEMM kernels (whose padded
 #: layouts repeat their L1-set pattern every ``tiles_n`` = 16 blocks).
-DEFAULT_MAX_SUPER_PERIOD = 16
-
-#: Environment variable overriding :data:`DEFAULT_MAX_SUPER_PERIOD`.
-MAX_SUPER_PERIOD_ENV = "REPRO_MAX_SUPER_PERIOD"
-
-#: Field bounds of the oracle's packed per-op input word (signature id,
-#: scripted memory delay, line count).  ``nbytes`` is bounded by the columnar
-#: packing at 8192, i.e. at most 129 lines per request and a delay of at most
-#: 128 + the L2 hit latency.
-_DELAY_BOUND = 512
-_LINES_BOUND = 256
+MAX_SUPER_PERIOD = 16
 
 _TILE_CODE = KIND_CODES[TraceOpKind.TILE]
-
-
-def resolve_max_super_period() -> int:
-    """The super-period search cap, honouring ``REPRO_MAX_SUPER_PERIOD``."""
-    raw = os.environ.get(MAX_SUPER_PERIOD_ENV)
-    if raw is None:
-        return DEFAULT_MAX_SUPER_PERIOD
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{MAX_SUPER_PERIOD_ENV}={raw!r} is not an integer"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"{MAX_SUPER_PERIOD_ENV} must be at least 1, got {value}"
-        )
-    return value
 
 
 def op_signature(op: TraceOp) -> tuple:
@@ -125,6 +84,9 @@ def op_signature(op: TraceOp) -> tuple:
     the simulator (same kind, registers, access size, latency class and —
     for tile computes — the same per-op feed overhead); periodic kernels
     repeat signature sequences exactly while the addresses stride forward.
+    The fast path reads these signatures as the ids of
+    :meth:`~repro.cpu.columnar.ColumnarTrace.signature_ids`, which are
+    tested against interning this function's tuples op by op.
     """
     tile = op.tile
     if tile is None:
@@ -139,31 +101,6 @@ def op_signature(op: TraceOp) -> tuple:
         op.label,
         tile.feed_overhead,
     )
-
-
-def lower_signatures(trace: Sequence[TraceOp]) -> np.ndarray:
-    """Lower a trace into a per-op ``int64`` signature-id array.
-
-    Ids are assigned in first-appearance order and derived purely from the
-    op content, so the array — and every decision derived from it (anchor
-    choice, block boundaries, memoization keys) — is deterministic across
-    interpreter runs and processes.  Columnar traces answer from their packed
-    signature column in one vectorised pass; plain op lists are interned op
-    by op (dict *equality* interning, never ``hash()`` identity, so the ids
-    cannot depend on per-process enum/string identity either).
-    """
-    if getattr(trace, "has_columns", False):
-        return trace.signature_ids()
-    table: Dict[tuple, int] = {}
-    ids = np.empty(len(trace), dtype=np.int64)
-    for index, op in enumerate(trace):
-        key = op_signature(op)
-        signature_id = table.get(key)
-        if signature_id is None:
-            signature_id = len(table)
-            table[key] = signature_id
-        ids[index] = signature_id
-    return ids
 
 
 def _starts_from_signatures(signatures: np.ndarray) -> Optional[List[int]]:
@@ -182,38 +119,17 @@ def _starts_from_signatures(signatures: np.ndarray) -> Optional[List[int]]:
     return occurrences.tolist()
 
 
-def derive_block_starts(
-    trace: Sequence[TraceOp],
-) -> Tuple[Optional[List[int]], Optional[np.ndarray]]:
-    """Detect periodic block boundaries in an un-annotated trace.
-
-    Returns ``(block_starts, signatures)``; ``(None, None)`` when the trace
-    exposes no usable periodicity.  The rarest signature that still repeats
-    is used as the period anchor — in the generated kernels that is one of
-    the once-per-output-tile ops (e.g. the tile-loop branch).
-    """
-    if len(trace) < 2 * MIN_ANCHOR_REPEATS:
-        return None, None
-    signatures = lower_signatures(trace)
-    starts = _starts_from_signatures(signatures)
-    if starts is None:
-        return None, None
-    return starts, signatures
-
-
 def build_segments(
-    block_starts: Sequence[int],
-    trace_length: int,
-    signatures: Optional[np.ndarray] = None,
+    block_starts: Sequence[int], trace_length: int, signatures: np.ndarray
 ) -> Tuple[List[int], List[Tuple[int, int]]]:
     """Group consecutive identical blocks into uniform segments.
 
     Returns ``(bounds, segments)`` where ``bounds`` has one entry per block
     start plus the trace length, and each segment is ``(first_block, count)``.
     Two neighbouring blocks belong to the same segment when they have equal
-    length and — when a signature array is available — byte-identical
-    signature content (signatures include per-op feed overheads, so blocks
-    whose overhead sequences differ element-wise are never merged).
+    length and byte-identical signature content (signatures include per-op
+    feed overheads, so blocks whose overhead sequences differ element-wise
+    are never merged).
     """
     bounds = list(block_starts) + [trace_length]
     num_blocks = len(block_starts)
@@ -222,8 +138,6 @@ def build_segments(
     def same(index: int) -> bool:
         if lengths[index] != lengths[index + 1] or lengths[index] <= 0:
             return False
-        if signatures is None:
-            return True
         a, b = bounds[index], bounds[index + 1]
         return bool(
             np.array_equal(signatures[a : a + lengths[index]], signatures[b : b + lengths[index]])
@@ -240,25 +154,27 @@ def build_segments(
     return bounds, segments
 
 
-# -- oracle path -------------------------------------------------------------------
+# -- scripted oracle ---------------------------------------------------------------
 
 
 class _OracleScript:
-    """Whole-trace precomputation backing the oracle fast path.
+    """Whole-trace precomputation backing the fast path.
 
+    ``levels`` is the per-line level script the :class:`ScriptedHierarchy`
+    replays (its counters follow from the consumed prefix of the script).
     ``inputs`` packs, per op, everything the simulator's step function reads
     besides the machine state: the content signature id (kind, opcode,
     registers, label, per-op feed overhead) together with the scripted
-    memory-delay word and line count of the op's request.  The cumulative
-    arrays turn any skipped span's counter contributions into O(1) prefix-sum
-    differences, bit-identical to stepping the span.
+    delay, line count and DRAM line count of the op's request.  The
+    cumulative arrays turn any skipped span's line, request, byte and
+    compute counts into O(1) prefix-sum differences, bit-identical to
+    stepping the span.
     """
 
     __slots__ = (
-        "hit_bits",
+        "levels",
         "inputs",
         "line_offset",
-        "line_hits_cum",
         "requests_cum",
         "bytes_cum",
         "computes_cum",
@@ -266,30 +182,33 @@ class _OracleScript:
 
     def __init__(
         self,
-        hit_bits: np.ndarray,
+        levels: bytes,
         inputs: np.ndarray,
         line_offset: np.ndarray,
-        line_hits_cum: np.ndarray,
         requests_cum: np.ndarray,
         bytes_cum: np.ndarray,
         computes_cum: np.ndarray,
     ) -> None:
-        self.hit_bits = hit_bits
+        self.levels = levels
         self.inputs = inputs
         self.line_offset = line_offset
-        self.line_hits_cum = line_hits_cum
         self.requests_cum = requests_cum
         self.bytes_cum = bytes_cum
         self.computes_cum = computes_cum
 
 
-def _build_oracle(machine: MachineParams, columnar, signatures: np.ndarray):
+def _build_oracle(
+    machine: MachineParams, columnar: ColumnarTrace, signatures: np.ndarray
+) -> Optional[_OracleScript]:
     """Precompute the scripted outcomes and packed input words, or None.
 
-    Only valid under the ideal L2 prefetch: every L1 miss is then an L2 hit
-    at a fixed latency (the prefetched set covers the trace's own footprint
-    by definition), so the exact L1 LRU replay scripts the entire memory
-    behaviour of the run.
+    Within one request the L2 port delivers line ``j`` at ``port + j`` and
+    the ``k``-th DRAM line leaves the channel at ``dram + k * line_cycles``,
+    so the request completes at ``max(cycle, port + delay,
+    dram + (dram_lines - 1) * line_cycles + dram_latency)`` with ``delay =
+    max_j(j + latency_j)``, and the two clocks advance by ``lines`` and
+    ``dram_lines * line_cycles``.  (delay, lines, dram_lines) per op is
+    therefore all the step function reads of the memory script.
     """
     cols = columnar.columns
     line_bytes = machine.l1.line_bytes
@@ -308,30 +227,40 @@ def _build_oracle(machine: MachineParams, columnar, signatures: np.ndarray):
             return None  # zero-byte request: let the exact path raise
 
     hit_bits = columnar.level_outcomes(machine.l1)
+    levels = (~hit_bits).astype(np.int8)  # LEVEL_L1 on a hit, LEVEL_L2 otherwise
+    latency = np.where(hit_bits, machine.l1.hit_latency, machine.l2.hit_latency)
+    dram_counts = None
 
     line_offset = np.concatenate(([0], np.cumsum(counts)))
     total = int(line_offset[-1])
     delay = np.zeros(n, dtype=np.int64)
     if total:
-        latency = np.where(
-            hit_bits, machine.l1.hit_latency, machine.l2.hit_latency
-        ).astype(np.int64)
         counts_mem = counts[mem_mask]
         starts_mem = np.cumsum(counts_mem) - counts_mem
-        # Within one request the L2 port delivers line j at port_base + j, so
-        # the request's completion is port_base + max_j(j + latency_j).
+        if not machine.prefetch_into_l2:
+            dram = np.zeros(total, dtype=bool)
+            dram[~hit_bits] = ~columnar.miss_outcomes(machine.l1, machine.l2)
+            levels[dram] = LEVEL_DRAM
+            latency[dram] = machine.memory.dram_latency_cycles
+            dram_counts = np.zeros(n, dtype=np.int64)
+            dram_counts[mem_mask] = np.add.reduceat(dram.astype(np.int64), starts_mem)
         within = np.arange(total, dtype=np.int64) - np.repeat(starts_mem, counts_mem)
         delay[mem_mask] = np.maximum.reduceat(within + latency, starts_mem)
-    if delay.max(initial=0) >= _DELAY_BOUND or counts.max(initial=0) >= _LINES_BOUND:
-        return None
 
-    inputs = (signatures * _DELAY_BOUND + delay) * _LINES_BOUND + counts
+    # Mixed-radix packing: injective within the trace, which is all the
+    # span comparisons need.
+    delay_radix = int(delay.max(initial=0)) + 1
+    lines_radix = int(counts.max(initial=0)) + 1
+    if n * delay_radix * lines_radix * lines_radix >= 2**62:
+        return None
+    inputs = (signatures * delay_radix + delay) * lines_radix + counts
+    if dram_counts is not None:
+        inputs = inputs * lines_radix + dram_counts
     is_compute = (cols["kind"] == _TILE_CODE) & ~mem_mask
     return _OracleScript(
-        hit_bits=hit_bits,
+        levels=levels.tobytes(),
         inputs=inputs,
         line_offset=line_offset,
-        line_hits_cum=np.concatenate(([0], np.cumsum(hit_bits))),
         requests_cum=np.concatenate(([0], np.cumsum(mem_mask))),
         bytes_cum=np.concatenate(([0], np.cumsum(np.where(mem_mask, nbytes, 0)))),
         computes_cum=np.concatenate(([0], np.cumsum(is_compute))),
@@ -341,12 +270,10 @@ def _build_oracle(machine: MachineParams, columnar, signatures: np.ndarray):
 def _run_oracle(
     machine: MachineParams,
     engine: Optional[EngineConfig],
-    columnar,
+    columnar: ColumnarTrace,
     script: _OracleScript,
     bounds: List[int],
     segments: List[Tuple[int, int]],
-    max_skip_blocks: int,
-    max_super_period: int,
 ) -> SimulationResult:
     """Digest-locked fast path over scripted memory outcomes.
 
@@ -360,10 +287,15 @@ def _run_oracle(
     """
     state = SimulatorState(machine, engine, retain_pipeline_history=False)
     state.memory.hierarchy = ScriptedHierarchy(
-        script.hit_bits, machine.l1.hit_latency, machine.l2.hit_latency
+        script.levels,
+        machine.l1.hit_latency,
+        machine.l2.hit_latency,
+        machine.memory.dram_latency_cycles,
     )
     summary = TraceSummary()
     inputs = script.inputs
+    max_super_period = MAX_SUPER_PERIOD
+    max_skip_blocks = MAX_SKIP_BLOCKS
     stepped = 0
     skipped = 0
 
@@ -386,8 +318,8 @@ def _run_oracle(
             _merge_summary(summary, columnar.summarize_span(segment_start, segment_end))
             stepped += count
             continue
-        # All blocks of a segment are signature-identical (columnar traces
-        # are always segment-verified in full), so skipped repetitions
+        # All blocks of a segment are signature-identical (segments are
+        # always signature-verified in full), so skipped repetitions
         # summarize as copies of the segment head.
         _merge_summary(
             summary, columnar.summarize_span(segment_start, segment_start + period), count
@@ -438,10 +370,6 @@ def _run_oracle(
                     requests=int(script.requests_cum[end] - script.requests_cum[start]),
                     nbytes=int(script.bytes_cum[end] - script.bytes_cum[start]),
                     lines=int(script.line_offset[end] - script.line_offset[start]),
-                    l1_hits=int(
-                        script.line_hits_cum[script.line_offset[end]]
-                        - script.line_hits_cum[script.line_offset[start]]
-                    ),
                 )
                 # Mark every intermediate landing: the states there are the
                 # same digest shifted by k * delta, so a later boundary can
@@ -470,83 +398,6 @@ def _run_oracle(
         fast_blocks_stepped=stepped,
         fast_blocks_skipped=skipped,
     )
-
-
-# -- profile path ------------------------------------------------------------------
-
-
-class _BlockProfile:
-    """Observed behaviour of one exactly-simulated block."""
-
-    __slots__ = ("issues", "completions", "issued_end", "counter_delta", "computes")
-
-    def __init__(
-        self,
-        issues: np.ndarray,
-        completions: np.ndarray,
-        issued_end: int,
-        counter_delta: Dict[str, int],
-        computes: int,
-    ) -> None:
-        self.issues = issues
-        self.completions = completions
-        self.issued_end = issued_end
-        self.counter_delta = counter_delta
-        self.computes = computes
-
-
-def _steady_delta(previous: _BlockProfile, current: _BlockProfile) -> Optional[int]:
-    """Constant cycle shift between two consecutive blocks, or None.
-
-    A non-None return proves the block is in steady state: every issue and
-    completion event moved forward by exactly ``delta`` cycles and the memory
-    system behaved identically, so the simulator's (time-shift-invariant)
-    transition function will reproduce the same shift for every following
-    identical block.
-    """
-    if previous.issued_end != current.issued_end:
-        return None
-    if previous.computes != current.computes:
-        return None
-    if previous.counter_delta != current.counter_delta:
-        return None
-    delta = int(current.issues[0] - previous.issues[0])
-    if delta <= 0:
-        return None
-    if ((current.issues - previous.issues) != delta).any():
-        return None
-    if ((current.completions - previous.completions) != delta).any():
-        return None
-    return delta
-
-
-def _find_super_period(
-    history: Sequence[_BlockProfile], max_super_period: int
-) -> Optional[Tuple[int, int]]:
-    """Smallest ``(q, delta)`` such that the last ``2q`` blocks prove that the
-    state advances by exactly ``delta`` cycles every ``q`` blocks.
-
-    Every pair of blocks ``q`` apart within the window must be shift-invariant
-    with the same ``delta``; a hit means the machine is in a steady state of
-    period ``q`` blocks and the remaining repetitions can be skipped in
-    multiples of ``q``.
-    """
-    available = len(history)
-    for q in range(1, min(max_super_period, available // 2) + 1):
-        delta: Optional[int] = None
-        for j in range(1, q + 1):
-            pair_delta = _steady_delta(history[-j - q], history[-j])
-            if pair_delta is None or (delta is not None and pair_delta != delta):
-                delta = None
-                break
-            delta = pair_delta
-        if delta is not None:
-            return q, delta
-    return None
-
-
-class _HintMismatch(Exception):
-    """Raised when builder-supplied block hints contradict the actual trace."""
 
 
 def _valid_block_starts(block_starts: Sequence[int], trace_length: int) -> bool:
@@ -580,238 +431,30 @@ def run_fast(
     engine: Optional[EngineConfig],
     trace: Sequence[TraceOp],
     block_starts: Optional[Sequence[int]] = None,
-    *,
-    max_skip_blocks: int = DEFAULT_MAX_SKIP_BLOCKS,
-    max_super_period: Optional[int] = None,
 ) -> Optional[SimulationResult]:
-    """Fast-path simulation; returns None when the trace is not periodic.
+    """Fast-path simulation; None when the trace has no columnar form or period.
 
-    ``block_starts`` comes from the kernel builders when available (no trace
-    scan needed); otherwise periodicity is detected from the signature array.
-    ``max_super_period`` defaults to :func:`resolve_max_super_period`
-    (``REPRO_MAX_SUPER_PERIOD`` or :data:`DEFAULT_MAX_SUPER_PERIOD`).
+    ``block_starts`` comes from the kernel builders when available; it only
+    saves the anchor search, as every segment is verified against the
+    trace's signature ids in full, and an invalid hint falls back to anchor
+    detection over the same array.  Plain op lists are wrapped with
+    :meth:`ColumnarTrace.from_ops` first.
     """
-    n = len(trace)
-    if max_super_period is None:
-        max_super_period = resolve_max_super_period()
-    columnar = trace if getattr(trace, "has_columns", False) else None
-    signatures: Optional[np.ndarray] = None
-    if columnar is not None:
-        # Columnar traces lower to signature ids in one vectorised pass, so
-        # hints never trade verification for speed: segments are always
-        # signature-verified in full, and an invalid hint simply falls back
-        # to anchor detection over the same array.
-        signatures = columnar.signature_ids()
+    columnar = ColumnarTrace.from_ops(trace)
+    if not columnar.has_columns:
+        return None
+    n = len(columnar)
+    signatures = columnar.signature_ids()
     if (
         block_starts is None
         or len(block_starts) < MIN_ANCHOR_REPEATS
         or not _valid_block_starts(block_starts, n)
     ):
-        if signatures is None:
-            block_starts, signatures = derive_block_starts(trace)
-        else:
-            block_starts = _starts_from_signatures(signatures)
+        block_starts = _starts_from_signatures(signatures)
         if block_starts is None:
             return None
-
     bounds, segments = build_segments(block_starts, n, signatures)
-
-    if columnar is not None and machine.prefetch_into_l2:
-        script = _build_oracle(machine, columnar, signatures)
-        if script is not None:
-            return _run_oracle(
-                machine,
-                engine,
-                columnar,
-                script,
-                bounds,
-                segments,
-                max_skip_blocks,
-                max_super_period,
-            )
-
-    return _run_profiled(
-        machine,
-        engine,
-        trace,
-        columnar,
-        signatures,
-        bounds,
-        segments,
-        max_skip_blocks,
-        max_super_period,
-    )
-
-
-def _run_profiled(
-    machine: MachineParams,
-    engine: Optional[EngineConfig],
-    trace: Sequence[TraceOp],
-    columnar,
-    signatures: Optional[np.ndarray],
-    bounds: List[int],
-    segments: List[Tuple[int, int]],
-    max_skip_blocks: int,
-    max_super_period: int,
-) -> Optional[SimulationResult]:
-    """Counter-delta steady-state detection (non-scripted memory systems)."""
-    # For plain op lists, builder-supplied hints skip the full-trace
-    # signature scan: the blocks actually simulated, plus a
-    # first/middle/last sample of every skipped span, are signature-checked
-    # against their segment head, and any mismatch aborts to the exact path.
-    # That catches broken builders without an O(trace) pass but is not
-    # exhaustive — callers with untrusted op-list traces should pass
-    # block_starts=None (full signature verification) or mode="exact".
-    hinted = signatures is None
-    ops = trace if columnar is None else None  # columnar ops materialise per span
-
-    state = SimulatorState(machine, engine, retain_pipeline_history=False)
-    prefetch = machine.prefetch_into_l2
-    summary = TraceSummary()
-    extra_counters: Dict[str, int] = {}
-    stepped = 0
-    skipped = 0
-
-    def warm(start: int, end: int) -> None:
-        if prefetch and start < end:
-            if columnar is not None:
-                regions = columnar.memory_regions(start, end)
-            else:
-                regions = trace_memory_footprint(trace[start:end])
-            state.memory.prefetch_regions(regions)
-
-    def span_summary(start: int, end: int) -> TraceSummary:
-        if columnar is not None:
-            return columnar.summarize_span(start, end)
-        return summarize_trace(trace[start:end])
-
-    def span_ops(start: int, end: int):
-        if ops is not None:
-            return ops
-        return columnar.ops_span(start, end)
-
-    def simulate_span(start: int, end: int) -> None:
-        warm(start, end)
-        source = span_ops(start, end)
-        step = state.step
-        for index in range(start, end):
-            step(source[index])
-
-    def simulate_block(start: int, end: int) -> _BlockProfile:
-        warm(start, end)
-        source = span_ops(start, end)
-        counters_before = state.memory.counters()
-        engine_ops_before = state.engine_ops
-        size = end - start
-        issues = np.empty(size, dtype=np.int64)
-        completions = np.empty(size, dtype=np.int64)
-        step = state.step
-        for offset in range(size):
-            issues[offset], completions[offset] = step(source[start + offset])
-        counters_after = state.memory.counters()
-        counter_delta = {
-            key: counters_after[key] - counters_before.get(key, 0)
-            for key in counters_after
-        }
-        return _BlockProfile(
-            issues=issues,
-            completions=completions,
-            issued_end=state.issued_this_cycle,
-            counter_delta=counter_delta,
-            computes=state.engine_ops - engine_ops_before,
-        )
-
-    def block_signatures(start: int, end: int) -> List[tuple]:
-        source = span_ops(start, end)
-        return [op_signature(source[index]) for index in range(start, end)]
-
-    try:
-        # Warm-up prefix before the first detected block.
-        simulate_span(0, bounds[0])
-        _merge_summary(summary, span_summary(0, bounds[0]))
-
-        for first_block, count in segments:
-            segment_start = bounds[first_block]
-            segment_end = bounds[first_block + count]
-            period = bounds[first_block + 1] - bounds[first_block]
-            if count < MIN_BLOCKS_TO_SKIP:
-                # Too short to skip: simulate and summarize the real ops, so
-                # even a lying hint cannot corrupt the result here.
-                simulate_span(segment_start, segment_end)
-                _merge_summary(summary, span_summary(segment_start, segment_end))
-                stepped += count
-                continue
-            # Skipped repetitions are accounted as copies of the segment head;
-            # for detected periodicity the whole segment is signature-verified
-            # already, for builder hints every simulated block is checked
-            # against the head below (mismatch aborts to the exact path).
-            _merge_summary(
-                summary,
-                span_summary(segment_start, segment_start + period),
-                count,
-            )
-            head_signatures: Optional[List[tuple]] = None
-
-            index = 0
-            history: List[_BlockProfile] = []
-            while index < count:
-                start = segment_start + index * period
-                if hinted:
-                    current = block_signatures(start, start + period)
-                    if head_signatures is None:
-                        head_signatures = current
-                    elif current != head_signatures:
-                        raise _HintMismatch(
-                            f"block at op {start} differs from its segment head"
-                        )
-                history.append(simulate_block(start, start + period))
-                stepped += 1
-                if len(history) > 2 * max_super_period:
-                    del history[0]
-                index += 1
-                steady = _find_super_period(history, max_super_period)
-                if steady is None:
-                    continue
-                q, delta = steady
-                # Keep at least one block to re-simulate after the jump so the
-                # trailing state (and the next segment) sees fresh behaviour.
-                jumps = min(count - index - 1, max_skip_blocks) // q
-                if jumps <= 0:
-                    continue
-                window = history[-q:]
-                computes = sum(profile.computes for profile in window)
-                engine_delta = 0
-                if state.pipeline is not None and computes:
-                    if delta % state.ratio:
-                        continue  # engine events cannot shift by a fractional cycle
-                    engine_delta = delta // state.ratio
-                if hinted and head_signatures is not None:
-                    # Spot-check the span we are about to skip: a lying hint
-                    # whose mismatching blocks sit entirely between anchors
-                    # would otherwise be accounted silently.
-                    span = jumps * q
-                    for probe in sorted({index, index + span // 2, index + span - 1}):
-                        probe_start = segment_start + probe * period
-                        if block_signatures(probe_start, probe_start + period) != head_signatures:
-                            raise _HintMismatch(
-                                f"skipped block at op {probe_start} differs from its segment head"
-                            )
-                state.shift(jumps * delta, jumps * computes, jumps * engine_delta)
-                for profile in window:
-                    for key, value in profile.counter_delta.items():
-                        if value:
-                            extra_counters[key] = extra_counters.get(key, 0) + jumps * value
-                skipped += jumps * q
-                index += jumps * q
-                history.clear()
-    except _HintMismatch:
-        return None  # the caller re-runs the trace through the exact path
-
-    core_cycles = max(state.last_completion, state.issue_cycle + 1)
-    return state.result(
-        summary,
-        core_cycles,
-        extra_counters,
-        fast_blocks_stepped=stepped,
-        fast_blocks_skipped=skipped,
-    )
+    script = _build_oracle(machine, columnar, signatures)
+    if script is None:
+        return None
+    return _run_oracle(machine, engine, columnar, script, bounds, segments)

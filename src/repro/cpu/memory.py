@@ -16,69 +16,71 @@ from ..errors import SimulationError
 from .cache import AccessResult, CacheHierarchy
 from .params import MachineParams
 
+#: Level codes of a :class:`ScriptedHierarchy` script: the level that served
+#: a line access.
+LEVEL_L1 = 0
+LEVEL_L2 = 1
+LEVEL_DRAM = 2
+
 
 class ScriptedHierarchy:
     """Replays precomputed cache outcomes instead of simulating tag arrays.
 
-    Under the paper's prefetch-into-L2 assumption every L1 miss is served at
-    L2-hit latency: a demanded line is either L2 resident or delivered by the
-    ideal prefetcher, so the hierarchy never reports an L2 miss or a DRAM
-    line request.  The only data-dependent outcome left is the L1 lookup,
-    which depends solely on the line-address sequence — something the
-    simulator's fast path can compute exactly for the whole trace up front
-    (:meth:`repro.cpu.columnar.ColumnarTrace.level_outcomes`).
+    The level that serves each line access — L1, L2 or DRAM — depends only
+    on the line-address sequence: the L1 outcome is an LRU replay of the
+    whole line stream, the L2 outcome an LRU replay of the L1-miss stream at
+    L2-line granularity, and under the paper's prefetch-into-L2 assumption
+    every L1 miss is an L2 hit by construction.  The simulator's fast path
+    computes that per-line level script for the whole trace up front
+    (:meth:`repro.cpu.columnar.ColumnarTrace.level_outcomes` and
+    :meth:`~repro.cpu.columnar.ColumnarTrace.miss_outcomes`).
 
-    This class replays that per-line hit/miss script through the same
-    ``access_line`` interface as :class:`~repro.cpu.cache.CacheHierarchy`.
+    This class replays the script (one level code per line access, see
+    :data:`LEVEL_L1` / :data:`LEVEL_L2` / :data:`LEVEL_DRAM`) through the
+    same ``access_line`` interface as :class:`~repro.cpu.cache.CacheHierarchy`.
     Because outcomes are precomputed, the fast path can also jump the cursor
     over whole steady-state spans (:meth:`advance`) while keeping the
     counters bit-identical to an exact replay.
     """
 
-    def __init__(self, hit_bits, l1_hit_latency: int, l2_hit_latency: int) -> None:
-        self._hit_bits = hit_bits
+    def __init__(
+        self, levels: bytes, l1_hit_latency: int, l2_hit_latency: int, dram_latency: int
+    ) -> None:
+        #: Level code per scripted line access, as ``bytes``: building it
+        #: from a NumPy array is a copy, and indexing returns plain ints
+        #: (per-line indexing of the array would return slow NumPy scalars).
+        self._levels = levels
         self._cursor = 0
-        self._l1_result = AccessResult(
-            latency=l1_hit_latency, level="L1", l1_hit=True, l2_hit=True
+        self._results = (
+            AccessResult(latency=l1_hit_latency, level="L1", l1_hit=True, l2_hit=True),
+            AccessResult(latency=l2_hit_latency, level="L2", l1_hit=False, l2_hit=True),
+            AccessResult(latency=dram_latency, level="DRAM", l1_hit=False, l2_hit=False),
         )
-        self._l2_result = AccessResult(
-            latency=l2_hit_latency, level="L2", l1_hit=False, l2_hit=True
-        )
-        self.l1_hits = 0
-        self.l1_misses = 0
-
-    @property
-    def cursor(self) -> int:
-        """Index of the next scripted line access."""
-        return self._cursor
 
     def access_line(self, address: int) -> AccessResult:
         """Pop the next scripted outcome (the address is already encoded in it)."""
-        hit = self._hit_bits[self._cursor]
+        level = self._levels[self._cursor]
         self._cursor += 1
-        if hit:
-            self.l1_hits += 1
-            return self._l1_result
-        self.l1_misses += 1
-        return self._l2_result
+        return self._results[level]
 
-    def advance(self, lines: int, l1_hits: int) -> None:
-        """Skip ``lines`` scripted accesses of which ``l1_hits`` were L1 hits."""
+    def advance(self, lines: int) -> None:
+        """Skip ``lines`` scripted accesses."""
         self._cursor += lines
-        self.l1_hits += l1_hits
-        self.l1_misses += lines - l1_hits
 
     def warm_l2(self, addresses) -> None:
-        """No-op: the script already assumes the fully prefetched footprint."""
+        """No-op: the script already encodes any prefetched footprint."""
 
     def counters(self) -> Dict[str, int]:
-        """Counters identical to an exact prefetched-hierarchy replay."""
+        """Counters of the accesses so far, identical to an exact replay."""
+        consumed = self._levels[: self._cursor]
+        l1_hits = consumed.count(LEVEL_L1)
+        dram_lines = consumed.count(LEVEL_DRAM)
         return {
-            "l1_hits": self.l1_hits,
-            "l1_misses": self.l1_misses,
-            "l2_hits": self.l1_misses,
-            "l2_misses": 0,
-            "dram_line_requests": 0,
+            "l1_hits": l1_hits,
+            "l1_misses": len(consumed) - l1_hits,
+            "l2_hits": len(consumed) - l1_hits - dram_lines,
+            "l2_misses": dram_lines,
+            "dram_line_requests": dram_lines,
         }
 
 
@@ -140,19 +142,20 @@ class MemorySystem:
         self._l2_port_free += delta
         self._dram_free += delta
 
-    def skip_span(self, requests: int, nbytes: int, lines: int, l1_hits: int) -> None:
+    def skip_span(self, requests: int, nbytes: int, lines: int) -> None:
         """Account for the traffic of a skipped steady-state span.
 
         The bandwidth clocks are moved by :meth:`shift_time` (called from the
         simulator state's ``shift``); this adds the span's exact request and
-        hit counts so the final counters match an op-by-op replay.  Requires
-        the scripted hierarchy — a stateful tag-array hierarchy cannot jump.
+        byte counts and moves the script cursor past its ``lines`` accesses,
+        so the final counters match an op-by-op replay.  Requires the
+        scripted hierarchy — a stateful tag-array hierarchy cannot jump.
         """
         if not isinstance(self.hierarchy, ScriptedHierarchy):
             raise SimulationError("skip_span requires a ScriptedHierarchy")
         self.total_requests += requests
         self.total_bytes += nbytes
-        self.hierarchy.advance(lines, l1_hits)
+        self.hierarchy.advance(lines)
 
     def shift_digest(self, base: int) -> tuple:
         """Bandwidth-clock state relative to ``base`` (for shift digests).

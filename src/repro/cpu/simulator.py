@@ -26,17 +26,19 @@ is sufficient for the relative comparisons the paper reports.
 Two execution modes are provided:
 
 ``"fast"`` (default)
-    Detects the kernel's steady-state periodicity (from the builder-supplied
-    ``block_starts`` hints or a signature scan of the trace), simulates a few
-    anchor blocks exactly, proves that consecutive blocks shift every event
-    by a constant cycle count, and then skips the remaining repetitions in
-    closed form.  Full Table IV traces simulate in milliseconds instead of
-    minutes; results match ``"exact"`` bit-for-bit whenever the proven shift
-    invariance holds (see :mod:`repro.cpu.fastsim`).
+    Scripts the cache level that serves every line access (exact L1 and L2
+    LRU replays over the trace's line stream, computed once per trace),
+    detects the kernel's steady-state periodicity (from the builder-supplied
+    ``block_starts`` hints or the trace's signature ids), and skips every
+    repetition whose start state and inputs are proven to replay an earlier
+    one shifted by a constant cycle count.  Full Table IV traces simulate in
+    milliseconds instead of minutes, and results equal ``"exact"`` bit for
+    bit on every machine (see :mod:`repro.cpu.fastsim`).
 
 ``"exact"``
     The original event-driven per-op loop, kept as the reference model and
-    used automatically whenever a trace exposes no periodic structure.
+    used automatically whenever a trace exposes no periodic structure or
+    has no columnar form.
 """
 
 from __future__ import annotations
@@ -65,7 +67,9 @@ SIMULATION_MODES = ("fast", "exact")
 #: "2": per-instruction (data-dependent) SpGEMM feed overheads.
 #: "3": geometry-parameterised engines (busy cycles, feed latencies and tile
 #: transfer sizes derive from the engine's TileGeometry).
-SIMULATOR_MODEL_VERSION = "3"
+#: "4": fast mode equals exact on machines without the ideal L2 prefetch
+#: (it used to extrapolate their L2/DRAM behaviour from counter deltas).
+SIMULATOR_MODEL_VERSION = "4"
 
 
 @dataclass
@@ -458,16 +462,12 @@ class SimulatorState:
         self,
         summary: TraceSummary,
         core_cycles: int,
-        extra_counters: Optional[Dict[str, int]] = None,
         *,
         fast_blocks_stepped: int = 0,
         fast_blocks_skipped: int = 0,
     ) -> SimulationResult:
         """Assemble the :class:`SimulationResult` for the finished simulation."""
         counters = self.memory.counters()
-        if extra_counters:
-            for key, value in extra_counters.items():
-                counters[key] = counters.get(key, 0) + value
         busy_per_op = self.engine.busy_cycles_per_instruction if self.engine else 16
         return SimulationResult(
             core_cycles=core_cycles,

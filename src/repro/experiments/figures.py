@@ -58,13 +58,17 @@ AREA_POWER_SPEC_VERSION = "1"
 #: intersection latency model, or the validation semantics change.
 #: v2: L1-set-span-padded SpGEMM layouts, issue-aligned blocks and per-op
 #: data-dependent feed overhead (cycle counts changed).
-SPGEMM_SPEC_VERSION = "2"
+#: v3: ``--membound`` trials run the exact-equivalent fast path (machines
+#: without the ideal L2 prefetch used to extrapolate L2/DRAM behaviour).
+SPGEMM_SPEC_VERSION = "3"
 #: v1: initial multi-core tile-grid sharding sweep.  Bump whenever the
 #: partitioner, the shared-L3/DRAM arbiter model, or the workload machine
 #: definitions (incl. ``memory_bound_machine``) change semantics.
 #: v2: the SpGEMM workloads inherit the padded layouts / aligned blocks /
 #: data-dependent feed overhead of the rebuilt SpGEMM kernel.
-SCALING_SPEC_VERSION = "3"
+#: v4: ``gemm-membound`` runs the exact-equivalent fast path (machines
+#: without the ideal L2 prefetch used to extrapolate L2/DRAM behaviour).
+SCALING_SPEC_VERSION = "4"
 #: v1: initial cross-ISA backend comparison (geometry-parameterised engines).
 #: Bump whenever the backend kernel-selection rules or the foreign-geometry
 #: latency model change semantics.

@@ -26,7 +26,10 @@ from ..experiments.results import ResultTable
 from ..experiments.spec import ExperimentSpec
 from ..types import GemmShape, SparsityPattern
 
-AUTOTUNE_SPEC_VERSION = "1"
+#: v2: the ``gemm-membound`` workload runs the exact-equivalent fast path
+#: (machines without the ideal L2 prefetch used to extrapolate L2/DRAM
+#: behaviour).
+AUTOTUNE_SPEC_VERSION = "2"
 
 #: The engine axis: the full VEGETA design-space catalog (the best sparse
 #: design with output forwarding, plus its SpGEMM variant) next to the two

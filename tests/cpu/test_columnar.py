@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core import isa
 from repro.core.engine import get_engine
 from repro.core.registers import treg
-from repro.cpu.cache import Cache
+from repro.cpu.cache import Cache, CacheHierarchy
 from repro.cpu.columnar import (
     ColumnarTrace,
     TraceBuilder,
     _level_evicts,
     lru_outcome_bits,
 )
-from repro.cpu.fastsim import lower_signatures, op_signature
+from repro.cpu.fastsim import op_signature
 from repro.cpu.params import CacheParams, MachineParams, default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.trace import (
@@ -101,12 +101,6 @@ class TestDeterministicIds:
                 assert value == expected_next
                 seen.add(value)
                 expected_next += 1
-
-    def test_lower_signatures_dispatches_to_columns(self):
-        program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
-        assert np.array_equal(
-            lower_signatures(program.trace), lower_signatures(list(program.trace))
-        )
 
 
 class TestGracefulFallback:
@@ -280,6 +274,61 @@ class TestLevelOutcomeCache:
         ).run(fresh.trace)
         assert first.core_cycles == exact.core_cycles
         assert first.memory_counters == exact.memory_counters
+
+    @given(
+        l2_line_bytes=st.sampled_from([64, 128]),
+        draws=st.lists(st.integers(0, 10**6), max_size=200),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_l2_stream_matches_the_hierarchy(self, l2_line_bytes, draws):
+        # The L2 outcome of every L1 miss, replayed on the L1-miss stream at
+        # L2-line granularity, is the level CacheHierarchy serves it from.
+        l1 = _level(2, 2)
+        l2 = CacheParams(
+            name="L2",
+            capacity_bytes=4 * 2 * l2_line_bytes,
+            associativity=2,
+            line_bytes=l2_line_bytes,
+        )
+        lines = [d % 64 for d in draws] + list(range(0, 64, 4))
+        trace = _line_trace(lines)
+        l1_hits = trace.level_outcomes(l1)
+        l2_hits = trace.miss_outcomes(l1, l2)
+        hierarchy = CacheHierarchy(l1, l2, dram_latency=200)
+        served = [hierarchy.access_line(line * 64).level for line in lines]
+        assert [level == "L1" for level in served] == l1_hits.tolist()
+        assert [level == "L2" for level in served if level != "L1"] == l2_hits.tolist()
+
+    def test_memo_key_and_oracle_share_the_l2_replay(self, monkeypatch):
+        import repro.cpu.columnar as columnar
+
+        calls = []
+
+        def counted(ids, num_sets, associativity):
+            calls.append(len(ids))
+            return lru_outcome_bits(ids, num_sets, associativity)
+
+        monkeypatch.setattr(columnar, "lru_outcome_bits", counted)
+        # Without the ideal prefetch both levels evict on this footprint, so
+        # the key and the oracle each need one replay per level.
+        machine = MachineParams(
+            l1=_level(8, 2),
+            l2=CacheParams(name="L2", capacity_bytes=16 * 1024, hit_latency=14),
+            prefetch_into_l2=False,
+        )
+        program = build_dense_gemm_kernel(GemmShape(64, 64, 256))
+        engine = get_engine("VEGETA-D-1-2")
+        program.trace.simulation_key(machine, program.block_starts)
+        fast = CycleApproximateSimulator(machine=machine, engine=engine).run(
+            program.trace, block_starts=program.block_starts
+        )
+        assert len(calls) == 2
+        exact = CycleApproximateSimulator(machine=machine, engine=engine).run(
+            program.trace, mode="exact"
+        )
+        assert fast.core_cycles == exact.core_cycles
+        assert fast.memory_counters == exact.memory_counters
+        assert fast.memory_counters["dram_line_requests"] > 0
 
 
 class TestSimulationKey:

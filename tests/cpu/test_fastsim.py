@@ -1,54 +1,150 @@
 """Cross-validation of the simulator's steady-state fast path.
 
 The acceptance contract for the fast path is that it matches ``mode="exact"``
-cycle counts within 1 % on kernel traces while skipping the bulk of the
-steady-state work; on traces too small or too irregular to skip it must fall
-back to behaviour that is bit-identical to the exact path.
+bit for bit — cycles, memory counters, engine busy cycles and instruction
+mix — on every machine, while skipping the bulk of the steady-state work;
+traces too small, too irregular or without a columnar form run exact.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core import isa
 from repro.core.engine import get_engine
 from repro.core.registers import treg
+from repro.cpu.columnar import ColumnarTrace, TraceBuilder
 from repro.cpu.fastsim import (
+    _starts_from_signatures,
     build_segments,
-    derive_block_starts,
     op_signature,
     run_fast,
 )
-from repro.cpu.params import MachineParams, default_machine
+from repro.cpu.params import (
+    CacheParams,
+    MachineParams,
+    MemoryParams,
+    default_machine,
+    memory_bound_machine,
+)
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.cpu.trace import scalar_op, tile_op, vector_fma, vector_load
 from repro.errors import SimulationError
 from repro.kernels.gemm import build_dense_gemm_kernel
+from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.spmm import build_spmm_kernel
 from repro.kernels.vector import build_vector_gemm_kernel
 from repro.types import GemmShape, SparsityPattern
 
 
-def _compare(program, engine, machine=None, hint=True, tolerance=0.01):
+def _compare(program, engine, machine=None, hint=True):
     simulator = CycleApproximateSimulator(machine=machine, engine=engine)
     exact = simulator.run(program.trace, mode="exact")
     fast = simulator.run(
         program.trace, block_starts=program.block_starts if hint else None
     )
-    assert fast.core_cycles == pytest.approx(exact.core_cycles, rel=tolerance)
+    assert fast.core_cycles == exact.core_cycles
+    assert fast.memory_counters == exact.memory_counters
+    assert fast.engine_busy_cycles == exact.engine_busy_cycles
     assert fast.trace_summary == exact.trace_summary
     assert fast.tile_compute_ops == exact.tile_compute_ops
-    assert fast.engine_busy_cycles == exact.engine_busy_cycles
     return exact, fast
 
 
+class _Program:
+    """A bare trace in the shape of a kernel program (no block hints)."""
+
+    def __init__(self, trace):
+        self.trace = trace
+        self.block_starts = None
+
+
+def _block_starts(trace):
+    """Anchor-detected block starts of a trace (columnar or op list)."""
+    return _starts_from_signatures(ColumnarTrace.from_ops(trace).signature_ids())
+
+
+#: Machines of the fast==exact matrix.  The memory-bound machine has no
+#: ideal prefetch and a 256 KB L2 the kernels below overflow, so its L2
+#: evicts; the never-evicting L2 is one fully associative set larger than
+#: the footprint; the 128 B L2 line makes the L2 stream coarser than L1's.
+MATRIX_MACHINES = {
+    "default": default_machine(),
+    "membound": memory_bound_machine(),
+    "no-prefetch": dataclasses.replace(default_machine(), prefetch_into_l2=False),
+    "l2-never-evicts": dataclasses.replace(
+        memory_bound_machine(),
+        l2=CacheParams(
+            name="L2", capacity_bytes=4 * 1024 * 1024, associativity=65536, hit_latency=14
+        ),
+    ),
+    "l2-128B-line": dataclasses.replace(
+        memory_bound_machine(),
+        l2=CacheParams(name="L2", capacity_bytes=256 * 1024, line_bytes=128, hit_latency=14),
+    ),
+}
+
+MATRIX_SHAPE = GemmShape(128, 128, 512)
+
+
+def _matrix_kernel(name):
+    if name == "dense":
+        return build_dense_gemm_kernel(MATRIX_SHAPE), get_engine("VEGETA-D-1-2")
+    if name == "spmm-2:4-of":
+        engine = get_engine("VEGETA-S-16-2").with_output_forwarding()
+        return build_spmm_kernel(MATRIX_SHAPE, SparsityPattern.SPARSE_2_4), engine
+    engine = get_engine("VEGETA-S-16-2").with_output_forwarding().with_spgemm()
+    return build_spgemm_kernel(MATRIX_SHAPE, SparsityPattern.SPARSE_2_4), engine
+
+
+class TestFastEqualsExactMatrix:
+    """fast == exact bit for bit on every machine, with or without prefetch."""
+
+    @pytest.mark.parametrize("machine", sorted(MATRIX_MACHINES))
+    @pytest.mark.parametrize("kernel", ["dense", "spmm-2:4-of", "spgemm-2:4"])
+    def test_machine_kernel(self, machine, kernel):
+        program, engine = _matrix_kernel(kernel)
+        exact, fast = _compare(program, engine, machine=MATRIX_MACHINES[machine])
+        assert fast.fast_blocks_skipped > 0
+
+    def test_memory_bound_dense_kernel(self):
+        # The single-core gemm-membound kernel of the scaling experiment.
+        engine = get_engine("VEGETA-S-16-2").with_output_forwarding()
+        program = build_dense_gemm_kernel(GemmShape(256, 256, 512))
+        exact, fast = _compare(program, engine, machine=memory_bound_machine())
+        assert fast.core_cycles == 410149
+        assert fast.memory_counters["dram_line_requests"] > 0
+        assert fast.fast_blocks_skipped > 0
+
+    def test_dram_line_count_is_part_of_the_input_word(self):
+        # Two-line loads of equal delay: (DRAM, DRAM) in the first phase,
+        # (L2, DRAM) in the second (the first line was loaded by the first
+        # phase and evicted from the one-line L1).  Only the DRAM line count
+        # tells the phases apart, and it sets the DRAM-channel throughput,
+        # so the fast path must not extend a first-phase jump into the
+        # second phase.
+        machine = MachineParams(
+            l1=CacheParams(name="L1D", capacity_bytes=64, associativity=1),
+            l2=CacheParams(name="L2", capacity_bytes=64 * 1024, hit_latency=14),
+            memory=MemoryParams(dram_bandwidth_gbps=12.0),
+            prefetch_into_l2=False,
+        )
+        builder = TraceBuilder()
+        for phase_line in (0, 1):
+            for block in range(120):
+                builder.vector_load(0, (4 * block + phase_line) * 64, 128)
+                builder.branch("loop")
+        exact, fast = _compare(_Program(builder.finish()), None, machine=machine)
+        assert fast.fast_blocks_skipped > 0
+
+
 class TestFastMatchesExactOnKernels:
-    """Tier-1 kernel traces: fast path within 1 % of the exact scoreboard."""
+    """Tier-1 kernel traces: fast path bit-identical to the exact scoreboard."""
 
     def test_dense_optimized_kernel(self):
         program = build_dense_gemm_kernel(GemmShape(256, 256, 1024))
-        exact, fast = _compare(program, get_engine("VEGETA-D-1-2"))
-        assert fast.memory_counters == exact.memory_counters
+        _compare(program, get_engine("VEGETA-D-1-2"))
 
     def test_dense_on_every_dense_engine(self):
         program = build_dense_gemm_kernel(GemmShape(128, 128, 1024))
@@ -198,22 +294,22 @@ class TestPeriodicityHelpers:
         assert op_signature(a) == op_signature(b)
         assert op_signature(a) != op_signature(c)
 
-    def test_derive_block_starts_finds_builder_blocks(self):
+    def test_block_starts_find_builder_blocks(self):
         program = build_dense_gemm_kernel(GemmShape(128, 128, 256))
-        starts, signatures = derive_block_starts(program.trace)
+        starts = _block_starts(list(program.trace))
         assert starts is not None
         # The detected anchors recur with the builder's block period.
         expected_period = program.block_starts[1] - program.block_starts[0]
         assert starts[1] - starts[0] == expected_period
         assert len(starts) == len(program.block_starts)
 
-    def test_derive_block_starts_rejects_irregular_traces(self):
+    def test_block_starts_reject_irregular_traces(self):
         trace = [scalar_op(f"unique-{i}") for i in range(32)]
-        starts, signatures = derive_block_starts(trace)
-        assert starts is None and signatures is None
+        assert _block_starts(trace) is None
 
     def test_build_segments_splits_on_length_change(self):
-        bounds, segments = build_segments([0, 10, 20, 30, 45, 60], 75)
+        signatures = np.zeros(75, dtype=np.int64)
+        bounds, segments = build_segments([0, 10, 20, 30, 45, 60], 75, signatures)
         assert bounds[-1] == 75
         assert segments == [(0, 3), (3, 3)]
 
@@ -221,13 +317,23 @@ class TestPeriodicityHelpers:
         trace = [scalar_op(f"u{i}") for i in range(16)]
         assert run_fast(default_machine(), None, trace) is None
 
+    def test_trace_without_columnar_form_runs_exact(self):
+        # A three-source FMA does not fit the columnar encoding, so the fast
+        # path has no signature ids or script and defers to the exact loop.
+        trace = [vector_fma(0, (1, 2, 3)) for _ in range(64)]
+        assert run_fast(default_machine(), None, trace) is None
+        simulator = CycleApproximateSimulator()
+        exact = simulator.run(trace, mode="exact")
+        fast = simulator.run(trace)
+        assert fast.core_cycles == exact.core_cycles
+        assert fast.trace_summary == exact.trace_summary
+        assert fast.fast_blocks_stepped == fast.fast_blocks_skipped == 0
+
     def test_signature_ids_are_deterministic(self):
         # Regression: hash()-based signatures made anchor selection depend on
         # PYTHONHASHSEED.  Ids must be assigned in first-appearance order.
-        from repro.cpu.fastsim import lower_signatures
-
         program = build_dense_gemm_kernel(GemmShape(64, 64, 128))
-        ids = lower_signatures(program.trace)
+        ids = ColumnarTrace.from_ops(list(program.trace)).signature_ids()
         assert ids[0] == 0
         seen = set()
         expected_next = 0
@@ -243,11 +349,12 @@ class TestPeriodicityHelpers:
         import sys
 
         script = (
-            "from repro.cpu.fastsim import derive_block_starts\n"
+            "from repro.cpu.columnar import ColumnarTrace\n"
+            "from repro.cpu.fastsim import _starts_from_signatures\n"
             "from repro.kernels.gemm import build_dense_gemm_kernel\n"
             "from repro.types import GemmShape\n"
-            "starts, _ = derive_block_starts(build_dense_gemm_kernel(GemmShape(64, 64, 256)).trace)\n"
-            "print(list(starts))\n"
+            "ops = list(build_dense_gemm_kernel(GemmShape(64, 64, 256)).trace)\n"
+            "print(_starts_from_signatures(ColumnarTrace.from_ops(ops).signature_ids()))\n"
         )
         import repro
 

@@ -11,20 +11,13 @@ different overhead sequences and the fast path must refuse to skip.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import get_engine
-from repro.cpu.fastsim import (
-    DEFAULT_MAX_SUPER_PERIOD,
-    MAX_SUPER_PERIOD_ENV,
-    resolve_max_super_period,
-    run_fast,
-)
+from repro.cpu.fastsim import run_fast
 from repro.cpu.multicore import simulation_cache_key
 from repro.cpu.params import default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
-from repro.errors import ConfigurationError
 from repro.kernels.spgemm import build_spgemm_kernel
 from repro.kernels.tiling import TILE_M
 from repro.sparse.pruning import prune_to_pattern
@@ -145,23 +138,10 @@ class TestSpgemmFastExactParity:
 
 
 class TestSuperPeriodKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(MAX_SUPER_PERIOD_ENV, raising=False)
-        assert resolve_max_super_period() == DEFAULT_MAX_SUPER_PERIOD
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(MAX_SUPER_PERIOD_ENV, "4")
-        assert resolve_max_super_period() == 4
-
-    @pytest.mark.parametrize("raw", ["zero", "", "0", "-3"])
-    def test_invalid_values_rejected(self, monkeypatch, raw):
-        monkeypatch.setenv(MAX_SUPER_PERIOD_ENV, raw)
-        with pytest.raises(ConfigurationError):
-            resolve_max_super_period()
-
-    def test_tight_cap_still_exact(self):
+    def test_tight_cap_still_exact(self, monkeypatch):
         # A cap of 1 only allows directly adjacent block jumps; the result
         # must stay bit-identical, merely with lower coverage.
+        monkeypatch.setattr("repro.cpu.fastsim.MAX_SUPER_PERIOD", 1)
         pattern = SparsityPattern.SPARSE_2_4
         shape = GemmShape(64, 64, 256)
         rng = np.random.default_rng(3)
@@ -169,13 +149,7 @@ class TestSuperPeriodKnob:
         program = build_spgemm_kernel(shape, pattern, a=a, b=b)
         simulator = CycleApproximateSimulator(engine=ENGINE_OF)
         exact = simulator.run(program.trace, mode="exact")
-        capped = run_fast(
-            default_machine(),
-            ENGINE_OF,
-            program.trace,
-            program.block_starts,
-            max_super_period=1,
-        )
+        capped = run_fast(default_machine(), ENGINE_OF, program.trace, program.block_starts)
         assert capped is not None
         assert capped.core_cycles == exact.core_cycles
         assert capped.memory_counters == exact.memory_counters

@@ -90,6 +90,44 @@ class TestRunner:
             assert row["numa_penalty"] == 1.0
             assert row["interconnect_utilization"] is None
 
+    def test_membound_single_core_row_equals_exact(self):
+        # gemm-membound runs without the ideal L2 prefetch, so its L2 and
+        # DRAM outcomes depend on LRU state; the cores=1 row must still be
+        # exactly what the exact-mode simulator gives the unsharded kernel.
+        from repro.cpu.params import MachineParams
+        from repro.cpu.simulator import CycleApproximateSimulator
+        from repro.experiments.figures import resolve_engine
+        from repro.kernels.sharding import shard_kernel
+        from repro.types import GemmShape, SparsityPattern
+
+        workload = next(
+            w for w in scaling_spec().axes["workload"] if w["name"] == "gemm-membound"
+        )
+        table = run_named(
+            "scaling",
+            {
+                "workloads": [workload],
+                "cores": [1],
+                "strategies": ["row-block"],
+                "topologies": ["flat"],
+            },
+            cache=False,
+        )
+        program = shard_kernel(
+            workload["kind"],
+            GemmShape(m=workload["m"], n=workload["n"], k=workload["k"]),
+            SparsityPattern(workload["pattern"]),
+            1,
+        ).programs[0]
+        exact = CycleApproximateSimulator(
+            machine=MachineParams.from_dict(workload["machine"]),
+            engine=resolve_engine(SCALING_ENGINE),
+        ).run(program.trace, mode="exact")
+        (row,) = table.rows
+        assert row["core_cycles"] == exact.core_cycles
+        assert row["single_core_cycles"] == exact.core_cycles
+        assert row["single_core_match"] is True
+
     def test_topology_axis(self, tiny_workloads):
         table = run_named(
             "scaling",
