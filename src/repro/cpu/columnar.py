@@ -379,6 +379,19 @@ def _first_touch_mask(ids: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort.
+
+    NumPy 2's hash-based ``np.unique`` is many times slower than a sort on
+    int64 cache-line streams.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
     """Exact per-access hit mask of a set-associative LRU cache.
 
@@ -796,17 +809,20 @@ class ColumnarTrace(Sequence):
         self._line_cache = (line_bytes, lines)
         return lines
 
-    def _expand_lines(self, line_bytes: int) -> np.ndarray:
+    def _line_runs(self, line_bytes: int) -> Tuple[np.ndarray, np.ndarray]:
+        """First line and line count of every memory op, in program order."""
         cols = self.columns
-        addresses = cols["address"]
-        mask = addresses >= 0
-        addresses = addresses[mask]
-        if not len(addresses):
-            return np.empty(0, dtype=np.int64)
+        mask = cols["address"] >= 0
+        addresses = cols["address"][mask]
         nbytes = cols["nbytes"][mask].astype(np.int64)
         first = addresses // line_bytes
         last = (addresses + nbytes - 1) // line_bytes
-        counts = last - first + 1
+        return first, last - first + 1
+
+    def _expand_lines(self, line_bytes: int) -> np.ndarray:
+        first, counts = self._line_runs(line_bytes)
+        if not len(first):
+            return np.empty(0, dtype=np.int64)
         total = int(counts.sum())
         offsets = np.repeat(np.cumsum(counts) - counts, counts)
         return np.repeat(first, counts) + (np.arange(total, dtype=np.int64) - offsets)
@@ -814,6 +830,32 @@ class ColumnarTrace(Sequence):
     def footprint_line_numbers(self, line_bytes: int) -> np.ndarray:
         """Distinct cache-line numbers referenced by the trace."""
         return np.unique(self._line_expansion(line_bytes))
+
+    def span_lines(
+        self, starts: Sequence[int], line_bytes: int
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """The distinct cache lines of every span of the trace.
+
+        Span ``s`` runs from ``starts[s]`` to the next start (the last one to
+        the end of the trace; ``starts[0]`` is 0).  Returns ``(spans, lines,
+        footprint)``: the distinct (span, line) pairs sorted by span, with
+        each line given as its index into the trace's sorted
+        :meth:`footprint_line_numbers`, and the size of that footprint.
+        """
+        lines = self._line_expansion(line_bytes)
+        footprint = _sorted_unique(lines)
+        if not len(footprint):
+            return np.empty(0, np.int64), np.empty(0, np.int64), 0
+        _, counts = self._line_runs(line_bytes)
+        op_spans = np.repeat(
+            np.arange(len(starts), dtype=np.int64),
+            np.diff(np.append(np.asarray(starts, dtype=np.int64), len(self))),
+        )
+        access_spans = np.repeat(op_spans[self.columns["address"] >= 0], counts)
+        pairs = _sorted_unique(
+            access_spans * len(footprint) + np.searchsorted(footprint, lines)
+        )
+        return pairs // len(footprint), pairs % len(footprint), len(footprint)
 
     # -- memoization key --------------------------------------------------------
 

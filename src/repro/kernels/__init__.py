@@ -16,7 +16,14 @@ Sub-modules:
 from .gemm import build_dense_gemm_kernel
 from .im2col import ConvShape, direct_convolution, im2col, weights_to_matrix
 from .program import KernelProgram
-from .sharding import SHARDABLE_KERNELS, ShardedKernel, shard_kernel
+from .sharding import (
+    SHARDABLE_KERNELS,
+    KernelPartition,
+    ShardedKernel,
+    build_kernel,
+    partition_kernel,
+    shard_kernel,
+)
 from .spgemm import SPGEMM_PATTERNS, build_spgemm_kernel, spgemm_joint_pattern
 from .spmm import build_rowwise_spmm_kernel, build_spmm_kernel
 from .tiling import (
@@ -37,6 +44,7 @@ from .vector import build_vector_gemm_kernel, vector_instruction_estimate
 
 __all__ = [
     "ConvShape",
+    "KernelPartition",
     "KernelProgram",
     "MatrixTileLayout",
     "PARTITION_STRATEGIES",
@@ -45,6 +53,7 @@ __all__ = [
     "ShardedKernel",
     "TileGrid",
     "build_dense_gemm_kernel",
+    "build_kernel",
     "build_rowwise_spmm_kernel",
     "build_spgemm_kernel",
     "build_spmm_kernel",
@@ -52,6 +61,7 @@ __all__ = [
     "direct_convolution",
     "im2col",
     "partition_grid",
+    "partition_kernel",
     "reference_gemm",
     "reference_spgemm",
     "run_functional",

@@ -10,6 +10,13 @@ core's trace is exactly what the single-core builder would emit for its share
 of blocks, so the one-core shard is bit-identical to the unsharded kernel and
 the union of all shards covers the output-tile grid exactly once.
 
+:func:`shard_kernel` runs in two steps.  :func:`partition_kernel` is the
+cheap one: it places the cores, assigns the block-grid cells and records
+which output tiles each core owns, without building anything — the
+planner prices its mapping candidates from it (and from one unsharded
+build per kernel, see :mod:`repro.planner.prefilter`).  The per-core builds
+follow only for the mappings that are actually simulated.
+
 The per-core programs are then simulated together by
 :func:`repro.cpu.multicore.simulate_multicore`, which adds the shared-L3 /
 DRAM bandwidth arbitration the private per-core simulators cannot see.
@@ -25,7 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..cpu.topology import TopologyNode, place_cores
 from ..errors import KernelError
@@ -40,23 +49,158 @@ from .tiling import TileGrid, interleaved_block_rows, partition_grid
 SHARDABLE_KERNELS = ("gemm", "spmm", "spgemm")
 
 
-def _block_grid_shape(kind: str, grid: TileGrid) -> Tuple[int, int]:
-    """(rows, cols) of the kernel's block grid."""
-    if kind == "gemm":
-        block_rows, block_cols = dense_block_grid(grid)
-        return len(block_rows), len(block_cols)
-    return len(interleaved_block_rows(grid.tiles_m)), grid.tiles_n
+def _check_kernel(kind: str, geometry: TileGeometry) -> None:
+    """Reject kernel kinds and geometries the sharding layer cannot build."""
+    if kind not in SHARDABLE_KERNELS:
+        raise KernelError(
+            f"unknown kernel kind {kind!r}; expected one of {SHARDABLE_KERNELS}"
+        )
+    if kind != "gemm" and geometry != DEFAULT_GEOMETRY:
+        raise KernelError(
+            f"the {kind} kernel builder is VEGETA-only; "
+            f"geometry {geometry.name!r} can only shard the dense kernel"
+        )
 
 
-def _block_tile_coords(kind: str, grid: TileGrid, cell: Tuple[int, int]) -> List[Tuple[int, int]]:
-    """Output-tile coordinates covered by one block-grid cell."""
+def build_kernel(
+    kind: str,
+    shape: GemmShape,
+    pattern: SparsityPattern,
+    *,
+    blocks: Optional[Sequence[Tuple[int, int]]] = None,
+    include_loop_overhead: bool = True,
+    max_output_tiles: Optional[int] = None,
+    geometry: TileGeometry = DEFAULT_GEOMETRY,
+) -> KernelProgram:
+    """Build the ``kind`` kernel, or only the block-grid cells in ``blocks``.
+
+    ``blocks=None`` emits the whole, unsharded kernel; the arguments mean
+    what they mean for :func:`shard_kernel`.
+    """
+    _check_kernel(kind, geometry)
     if kind == "gemm":
-        block_rows, block_cols = dense_block_grid(grid)
-        i_pair = dict.fromkeys(block_rows[cell[0]])
-        j_pair = dict.fromkeys(block_cols[cell[1]])
-        return [(i, j) for i in i_pair for j in j_pair]
-    i_block = interleaved_block_rows(grid.tiles_m)[cell[0]]
-    return [(i, cell[1]) for i in i_block]
+        return build_dense_gemm_kernel(
+            shape,
+            include_loop_overhead=include_loop_overhead,
+            max_output_tiles=max_output_tiles,
+            blocks=blocks,
+            geometry=geometry,
+        )
+    builder = build_spmm_kernel if kind == "spmm" else build_spgemm_kernel
+    return builder(
+        shape,
+        pattern,
+        include_loop_overhead=include_loop_overhead,
+        max_output_tiles=max_output_tiles,
+        blocks=blocks,
+    )
+
+
+@dataclass(frozen=True)
+class KernelPartition:
+    """Which block-grid cells each core owns: :func:`shard_kernel` minus builds.
+
+    ``block_rows[r]`` / ``block_cols[c]`` are the output-tile rows / columns
+    that block-grid row ``r`` / column ``c`` covers, deduplicated, so a
+    clamped edge block or a single-row interleaved pair counts each of its
+    tiles once.  ``blocks[c]`` is core ``c``'s cells in emission order.
+    """
+
+    #: The grid pattern: dense for ``gemm``, the operand pattern otherwise.
+    pattern: SparsityPattern
+    block_rows: Tuple[Tuple[int, ...], ...]
+    block_cols: Tuple[Tuple[int, ...], ...]
+    blocks: Tuple[Tuple[Tuple[int, int], ...], ...]
+    locality: Tuple[str, ...] = ()
+    domains: Tuple[int, ...] = ()
+
+    @property
+    def cores(self) -> int:
+        """Number of simulated cores the kernel is partitioned over."""
+        return len(self.blocks)
+
+    @property
+    def tiles(self) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+        """Output-tile coordinates each core's cells cover."""
+        return tuple(
+            tuple(
+                (i, j)
+                for row, col in cells
+                for i in self.block_rows[row]
+                for j in self.block_cols[col]
+            )
+            for cells in self.blocks
+        )
+
+    @property
+    def tiles_per_core(self) -> Tuple[int, ...]:
+        """Output tiles owned by each core (the static load balance)."""
+        return tuple(
+            sum(len(self.block_rows[row]) * len(self.block_cols[col]) for row, col in cells)
+            for cells in self.blocks
+        )
+
+    def block_owners(self) -> np.ndarray:
+        """The owning core of every block, in unsharded emission order.
+
+        The builders emit the whole kernel's blocks row-major over the block
+        grid, so block ``r * len(block_cols) + c`` is cell ``(r, c)``.
+        """
+        width = len(self.block_cols)
+        owners = np.empty(len(self.block_rows) * width, dtype=np.intp)
+        for core, cells in enumerate(self.blocks):
+            owners[[row * width + col for row, col in cells]] = core
+        return owners
+
+
+def partition_kernel(
+    kind: str,
+    shape: GemmShape,
+    pattern: SparsityPattern,
+    cores: int,
+    strategy: str = "row-block",
+    *,
+    topology: Optional[TopologyNode] = None,
+    geometry: TileGeometry = DEFAULT_GEOMETRY,
+) -> KernelPartition:
+    """Partition one kernel's block grid across ``cores``; build nothing.
+
+    The cells, locality paths, domains and tiles are exactly those of
+    :func:`shard_kernel` with the same arguments (which calls this first).
+    """
+    _check_kernel(kind, geometry)
+    grid_pattern = SparsityPattern.DENSE_4_4 if kind == "gemm" else pattern
+    grid = TileGrid(shape=shape, pattern=grid_pattern, geometry=geometry)
+    if kind == "gemm":
+        row_pairs, col_pairs = dense_block_grid(grid)
+        block_rows = tuple(tuple(dict.fromkeys(pair)) for pair in row_pairs)
+        block_cols = tuple(tuple(dict.fromkeys(pair)) for pair in col_pairs)
+    else:
+        block_rows = tuple(interleaved_block_rows(grid.tiles_m))
+        block_cols = tuple((j,) for j in range(grid.tiles_n))
+    locality: Tuple[str, ...] = ()
+    domains: Tuple[int, ...] = ()
+    group_size: Optional[int] = None
+    if topology is not None:
+        placement = place_cores(topology, cores)
+        locality = placement.paths
+        domains = placement.leaf_index
+        common = math.gcd(*placement.domain_sizes())
+        # A one-core common domain size carries no alignment information —
+        # aligning to it would only perturb the process grid, so the flat
+        # factorization stands.
+        group_size = common if common > 1 else None
+    assignments = partition_grid(
+        len(block_rows), len(block_cols), cores, strategy, group_size=group_size
+    )
+    return KernelPartition(
+        pattern=grid_pattern,
+        block_rows=block_rows,
+        block_cols=block_cols,
+        blocks=tuple(tuple(cells) for cells in assignments),
+        locality=locality,
+        domains=domains,
+    )
 
 
 @dataclass(frozen=True)
@@ -134,74 +278,30 @@ def shard_kernel(
     builders are VEGETA-only, so a non-default geometry on ``spmm`` /
     ``spgemm`` is an error rather than a silently mis-partitioned grid.
     """
-    if kind not in SHARDABLE_KERNELS:
-        raise KernelError(
-            f"unknown kernel kind {kind!r}; expected one of {SHARDABLE_KERNELS}"
-        )
-    if kind != "gemm" and geometry != DEFAULT_GEOMETRY:
-        raise KernelError(
-            f"the {kind} kernel builder is VEGETA-only; "
-            f"geometry {geometry.name!r} can only shard the dense kernel"
-        )
-    grid_pattern = SparsityPattern.DENSE_4_4 if kind == "gemm" else pattern
-    grid = TileGrid(shape=shape, pattern=grid_pattern, geometry=geometry)
-    rows, cols = _block_grid_shape(kind, grid)
-    locality: Tuple[str, ...] = ()
-    domains: Tuple[int, ...] = ()
-    group_size: Optional[int] = None
-    if topology is not None:
-        placement = place_cores(topology, cores)
-        locality = placement.paths
-        domains = placement.leaf_index
-        common = math.gcd(*placement.domain_sizes())
-        # A one-core common domain size carries no alignment information —
-        # aligning to it would only perturb the process grid, so the flat
-        # factorization stands.
-        group_size = common if common > 1 else None
-    assignments = partition_grid(rows, cols, cores, strategy, group_size=group_size)
-
+    partition = partition_kernel(
+        kind, shape, pattern, cores, strategy, topology=topology, geometry=geometry
+    )
     programs: List[KernelProgram] = []
-    tiles: List[Tuple[Tuple[int, int], ...]] = []
-    for core, cells in enumerate(assignments):
-        if kind == "gemm":
-            program = build_dense_gemm_kernel(
-                shape,
-                include_loop_overhead=include_loop_overhead,
-                max_output_tiles=max_output_tiles,
-                blocks=cells,
-                geometry=geometry,
-            )
-        elif kind == "spmm":
-            program = build_spmm_kernel(
-                shape,
-                pattern,
-                include_loop_overhead=include_loop_overhead,
-                max_output_tiles=max_output_tiles,
-                blocks=cells,
-            )
-        else:
-            program = build_spgemm_kernel(
-                shape,
-                pattern,
-                include_loop_overhead=include_loop_overhead,
-                max_output_tiles=max_output_tiles,
-                blocks=cells,
-            )
+    for core, cells in enumerate(partition.blocks):
+        program = build_kernel(
+            kind,
+            shape,
+            pattern,
+            blocks=cells,
+            include_loop_overhead=include_loop_overhead,
+            max_output_tiles=max_output_tiles,
+            geometry=geometry,
+        )
         program.label = f"{program.label}@core{core}/{cores}"
         programs.append(program)
-        tiles.append(
-            tuple(
-                coord for cell in cells for coord in _block_tile_coords(kind, grid, cell)
-            )
-        )
     return ShardedKernel(
         kind=kind,
         shape=shape,
-        pattern=grid_pattern,
+        pattern=partition.pattern,
         strategy=strategy,
         programs=tuple(programs),
-        blocks=tuple(tuple(cells) for cells in assignments),
-        tiles=tuple(tiles),
-        locality=locality,
-        domains=domains,
+        blocks=partition.blocks,
+        tiles=partition.tiles,
+        locality=partition.locality,
+        domains=partition.domains,
     )

@@ -10,9 +10,9 @@ load imbalance).  Surfaced as the registered ``autotune`` experiment and the
 
 * :mod:`repro.planner.space` — candidate enumeration and equivalence
   collapsing;
-* :mod:`repro.planner.prefilter` — simulation-free statics: exact traffic
-  and imbalance, sound cycle lower bounds, cache-fit and roofline
-  ordering heuristics;
+* :mod:`repro.planner.prefilter` — simulation-free statics aggregated from
+  one unsharded build per kernel: exact traffic and imbalance, sound cycle
+  lower bounds, cache-fit and roofline ordering heuristics;
 * :mod:`repro.planner.autotune` — the bound-ordered search loop with
   dominance pruning and frontier extraction;
 * :mod:`repro.planner.experiment` — the spec-versioned ``autotune``
@@ -26,10 +26,11 @@ from .autotune import (
     dominates,
     pareto_frontier,
 )
-from .prefilter import MappingStatics, mapping_statics
+from .prefilter import KernelBlocks, MappingStatics, mapping_statics
 from .space import MappingCandidate, MappingSpace, enumerate_mappings, select_kernel
 
 __all__ = [
+    "KernelBlocks",
     "MappingCandidate",
     "MappingOutcome",
     "MappingSpace",

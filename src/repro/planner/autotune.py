@@ -23,6 +23,11 @@ spaces.  Footprint-fit and roofline statics only *order* the walk (good
 incumbents early means more subsequent prunes); they never discard anything
 by themselves.
 
+Pricing needs no shards: every candidate's statics are aggregated from one
+unsharded build of its kernel (see :mod:`repro.planner.prefilter`), and a
+candidate is sharded (:func:`repro.kernels.sharding.shard_kernel`) only when
+the walk simulates it — pruned candidates are never built.
+
 The prune ratio reported per workload is ``space_size / simulated`` — how
 many cross-product points each simulation paid for, counting the
 provably-equivalent points the enumeration collapsed before the walk.
@@ -37,9 +42,9 @@ from ..analysis.runtime import resolve_engine
 from ..cpu.multicore import simulate_multicore
 from ..cpu.params import MachineParams, get_topology
 from ..errors import ConfigurationError
-from ..kernels.sharding import ShardedKernel, shard_kernel
+from ..kernels.sharding import ShardedKernel, build_kernel, shard_kernel
 from ..types import GemmShape, SparsityPattern
-from .prefilter import MappingStatics, mapping_statics
+from .prefilter import KernelBlocks, MappingStatics, mapping_statics
 from .space import MappingCandidate, enumerate_mappings
 
 #: Objective vector: (core cycles, traffic bytes, load imbalance).
@@ -181,38 +186,31 @@ def autotune_workload(
         for name in {candidate.topology for candidate in space.candidates}
     }
 
-    shards: Dict[Tuple, ShardedKernel] = {}
-    statics_memo: Dict[Tuple, MappingStatics] = {}
+    kernels: Dict[Tuple, KernelBlocks] = {}
     outcomes: List[MappingOutcome] = []
     for candidate in space.candidates:
         engine = engine_configs[candidate.engine]
-        shard_key = (
-            candidate.kernel,
-            engine.geometry.name,
-            candidate.executed,
+        kernel_key = (candidate.kernel, engine.geometry.name, candidate.executed)
+        blocks = kernels.get(kernel_key)
+        if blocks is None:
+            blocks = KernelBlocks(
+                candidate.kernel,
+                build_kernel(
+                    candidate.kernel,
+                    shape,
+                    SparsityPattern(candidate.executed),
+                    geometry=engine.geometry,
+                ),
+            )
+            kernels[kernel_key] = blocks
+        statics = mapping_statics(
+            blocks,
             candidate.cores,
             candidate.strategy,
-            candidate.topology,
+            machine,
+            engine,
+            topology_nodes[candidate.topology],
         )
-        sharded = shards.get(shard_key)
-        if sharded is None:
-            sharded = shard_kernel(
-                candidate.kernel,
-                shape,
-                SparsityPattern(candidate.executed),
-                candidate.cores,
-                candidate.strategy,
-                topology=topology_nodes[candidate.topology],
-                geometry=engine.geometry,
-            )
-            shards[shard_key] = sharded
-        statics_key = shard_key + (candidate.engine,)
-        statics = statics_memo.get(statics_key)
-        if statics is None:
-            statics = mapping_statics(
-                sharded, machine, engine, topology_nodes[candidate.topology]
-            )
-            statics_memo[statics_key] = statics
         outcomes.append(MappingOutcome(candidate=candidate, statics=statics))
 
     order = sorted(
@@ -226,6 +224,9 @@ def autotune_workload(
     )
 
     plan = WorkloadPlan(shape=shape, pattern=pattern, space_size=space.space_size)
+    # Only simulated candidates are sharded; engines sharing a shard key
+    # share its per-core programs.
+    shards: Dict[Tuple, ShardedKernel] = {}
     incumbents: List[MappingOutcome] = []
     for index in order:
         outcome = outcomes[index]
@@ -253,8 +254,20 @@ def autotune_workload(
             candidate.strategy,
             candidate.topology,
         )
+        sharded = shards.get(shard_key)
+        if sharded is None:
+            sharded = shard_kernel(
+                candidate.kernel,
+                shape,
+                SparsityPattern(candidate.executed),
+                candidate.cores,
+                candidate.strategy,
+                topology=topology_nodes[candidate.topology],
+                geometry=engine.geometry,
+            )
+            shards[shard_key] = sharded
         result = simulate_multicore(
-            shards[shard_key].programs,
+            sharded.programs,
             machine=machine,
             engine=engine,
             topology=topology_nodes[candidate.topology],

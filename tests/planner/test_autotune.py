@@ -8,7 +8,8 @@ from repro.analysis.runtime import resolve_engine
 from repro.cpu.multicore import simulate_multicore
 from repro.cpu.params import default_machine, memory_bound_machine
 from repro.errors import ConfigurationError
-from repro.kernels.sharding import shard_kernel
+from repro.kernels.sharding import build_kernel, shard_kernel
+from repro.planner import autotune as autotune_module
 from repro.planner.autotune import autotune_workload, dominates, pareto_frontier
 from repro.types import GemmShape, SparsityPattern
 
@@ -226,3 +227,86 @@ class TestPruneSoundness:
         assert frontier_keys(pruned) == frontier_keys(exhaustive)
         assert pruned.space_size == exhaustive.space_size
         assert pruned.simulated <= exhaustive.simulated
+
+
+def shard_key(candidate):
+    """The sharded programs a candidate's simulation needs."""
+    kernel_key = (
+        candidate.kernel,
+        resolve_engine(candidate.engine).geometry.name,
+        candidate.executed,
+    )
+    return kernel_key + (candidate.cores, candidate.strategy, candidate.topology)
+
+
+class TestOnlySimulatedCandidatesAreBuilt:
+    """Statics come from one build per kernel; shards only for simulations."""
+
+    SHAPE = GemmShape(64, 64, 256)
+    AXES = dict(
+        engines=("VEGETA-D-1-1", "VEGETA-S-4-2", "VEGETA-S-16-2+OF+SPGEMM", "SME-like"),
+        cores=(1, 2, 4),
+        strategies=("row-block", "2d-cyclic"),
+        topologies=("flat", "dual-socket"),
+    )
+    #: The exhaustive frontier of this space before statics came from
+    #: per-block aggregates: (engine, kernel, cores, strategy, topology, cycles).
+    FRONTIERS = {
+        "default": [
+            ("VEGETA-S-16-2+OF+SPGEMM", "spgemm", 4, "2d-cyclic", "dual-socket", 1787),
+            ("VEGETA-S-16-2+OF+SPGEMM", "spgemm", 4, "2d-cyclic", "flat", 1787),
+            ("VEGETA-S-4-2", "spmm", 4, "2d-cyclic", "dual-socket", 1675),
+            ("VEGETA-S-4-2", "spmm", 4, "2d-cyclic", "flat", 1675),
+            ("SME-like", "gemm", 1, "row-block", "flat", 2973),
+        ],
+        "membound": [
+            ("VEGETA-S-16-2+OF+SPGEMM", "spgemm", 2, "row-block", "dual-socket", 6227),
+            ("SME-like", "gemm", 1, "row-block", "flat", 13837),
+        ],
+    }
+
+    def counted_search(self, monkeypatch, machine_name, prune):
+        shard_calls, build_calls = [], []
+
+        def counting_shard(*args, **kwargs):
+            shard_calls.append(args)
+            return shard_kernel(*args, **kwargs)
+
+        def counting_build(*args, **kwargs):
+            build_calls.append(args)
+            return build_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(autotune_module, "shard_kernel", counting_shard)
+        monkeypatch.setattr(autotune_module, "build_kernel", counting_build)
+        plan = search(
+            MACHINES[machine_name], SparsityPattern.SPARSE_2_4, self.SHAPE, prune, **self.AXES
+        )
+        return plan, len(shard_calls), len(build_calls)
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    def test_pruned_candidates_are_never_sharded(self, monkeypatch, machine_name):
+        plan, shards, builds = self.counted_search(monkeypatch, machine_name, True)
+        simulated = [outcome for outcome in plan.outcomes if outcome.simulated]
+        assert plan.pruned > 0
+        assert shards == len({shard_key(outcome.candidate) for outcome in simulated})
+        assert shards < len({shard_key(outcome.candidate) for outcome in plan.outcomes})
+        assert builds == len(
+            {shard_key(outcome.candidate)[:3] for outcome in plan.outcomes}
+        )
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    def test_exhaustive_search_simulates_every_candidate(self, monkeypatch, machine_name):
+        plan, shards, _ = self.counted_search(monkeypatch, machine_name, False)
+        assert plan.simulated == len(plan.outcomes)
+        assert shards == len({shard_key(outcome.candidate) for outcome in plan.outcomes})
+        assert [
+            (
+                outcome.candidate.engine,
+                outcome.candidate.kernel,
+                outcome.candidate.cores,
+                outcome.candidate.strategy,
+                outcome.candidate.topology,
+                outcome.cycles,
+            )
+            for outcome in plan.frontier
+        ] == self.FRONTIERS[machine_name]
