@@ -26,13 +26,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core.engine import EngineConfig, get_engine, stc_like_engine
-from ..cpu.multicore import memoization_enabled
 from ..cpu.params import MachineParams, default_machine
 from ..errors import ConfigurationError
 from ..cpu.simulator import CycleApproximateSimulator, SimulationResult
-from ..kernels.gemm import build_dense_gemm_kernel
 from ..kernels.program import KernelProgram
-from ..kernels.spmm import build_spmm_kernel
+from ..kernels.sharding import build_kernel
 from ..types import SparsityPattern
 from ..workloads.layers import WorkloadLayer
 
@@ -95,17 +93,6 @@ def resolve_engine(name: str) -> EngineConfig:
     return engine
 
 
-#: The most recently built layer kernel, keyed by its builder arguments (at
-#: most one entry, bounding what is held between trials).  Sweeps vary the
-#: engine innermost, so consecutive trials whose engines execute the same
-#: kernel — every dense engine, every engine running the same N:M pattern —
-#: share one program: its trace, its lazily materialised ops and its
-#: per-trace cache outcomes are built once instead of once per engine.
-#: Programs are never modified after construction, which is what makes the
-#: sharing safe.
-_KERNEL_MEMO: Dict[tuple, KernelProgram] = {}
-
-
 def build_layer_kernel(
     layer: WorkloadLayer,
     pattern: SparsityPattern,
@@ -118,29 +105,20 @@ def build_layer_kernel(
     The engine's :meth:`EngineConfig.executable_pattern` decides how much of
     the weight sparsity it can actually exploit: dense engines always run the
     dense kernel, the STC-like engine runs 1:4 weights with its 2:4 path, and
-    full VEGETA-S engines exploit the pattern natively.  A call with the same
-    builder arguments as the previous one returns the previous program
-    (``REPRO_NO_MEMO=1`` always builds afresh).
+    full VEGETA-S engines exploit the pattern natively.  The build goes
+    through :func:`repro.kernels.sharding.build_kernel`, so consecutive
+    trials whose engines execute the same kernel share one program.
     """
     executed = engine.executable_pattern(pattern)
-    shape = layer.gemm
-    dense = executed is SparsityPattern.DENSE_4_4
-    key = (shape, executed, max_output_tiles, engine.geometry if dense else None)
-    memo = memoization_enabled()
-    program = _KERNEL_MEMO.get(key) if memo else None
-    if program is None:
-        if dense:
-            program = build_dense_gemm_kernel(
-                shape, max_output_tiles=max_output_tiles, geometry=engine.geometry
-            )
-        else:
-            program = build_spmm_kernel(
-                shape, executed, max_output_tiles=max_output_tiles
-            )
-        if memo:
-            _KERNEL_MEMO.clear()
-            _KERNEL_MEMO[key] = program
-    return program
+    if executed is SparsityPattern.DENSE_4_4:
+        return build_kernel(
+            "gemm",
+            layer.gemm,
+            executed,
+            max_output_tiles=max_output_tiles,
+            geometry=engine.geometry,
+        )
+    return build_kernel("spmm", layer.gemm, executed, max_output_tiles=max_output_tiles)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ questions as vectorised array operations:
 * ``summarize`` / ``summarize_span`` — instruction-mix summaries via
   ``bincount``,
 * ``memory_regions`` / ``footprint_line_numbers`` — unique regions / cache
-  lines via ``np.unique`` over the address column,
+  lines via one sort over the address column (:func:`_sorted_unique`),
 * ``simulation_key`` — a content hash of everything that can influence a
   simulation's outcome, with raw addresses *normalized out* (only the
   cache-line collision structure they induce is kept).  Two traces with equal
@@ -148,6 +148,23 @@ def decode_register(code: int) -> Optional[RegisterRef]:
     return ref
 
 
+def _reject_access(address: int, nbytes: int) -> None:
+    """Raise for a memory access the columnar views cannot represent.
+
+    A negative address would alias the "no memory operand" sentinel in
+    every vectorised view (the isa constructors reject it too), and a size
+    outside ``[0, _NBYTES_BOUND)`` would overflow its field of the packed
+    ``(address, nbytes)`` region words (:meth:`ColumnarTrace.memory_regions`)
+    and of the signature word.
+    """
+    if address < 0:
+        raise SimulationError(f"negative memory address {address}")
+    raise SimulationError(
+        f"memory access of {nbytes} bytes outside the packing bound "
+        f"[0, {_NBYTES_BOUND - 1}]"
+    )
+
+
 class TraceBuilder:
     """Appends encoded trace rows; finishes into a :class:`ColumnarTrace`.
 
@@ -181,11 +198,9 @@ class TraceBuilder:
 
     def tile_load(self, opcode: Opcode, dst: RegisterRef, address: int, label: str = "") -> None:
         """Append a tile load (``TILE_LOAD_T/U/V/M``)."""
-        if address < 0:
-            # A negative address would alias the "no memory operand" sentinel
-            # in every vectorised view; the isa constructors used to reject
-            # it at emission time, so keep that property.
-            raise SimulationError(f"negative memory address {address}")
+        nbytes = memory_bytes_for(opcode, self.geometry)
+        if address < 0 or nbytes >= _NBYTES_BOUND:
+            _reject_access(address, nbytes)
         self._rows.append(
             (
                 _KIND_TILE,
@@ -194,7 +209,7 @@ class TraceBuilder:
                 _NO_REG,
                 _NO_REG,
                 address,
-                memory_bytes_for(opcode, self.geometry),
+                nbytes,
                 self._label(""),
                 self._label(label),
                 -1,
@@ -215,9 +230,10 @@ class TraceBuilder:
 
     def tile_store_t(self, address: int, src: RegisterRef, label: str = "") -> None:
         """Append a ``TILE_STORE_T``."""
-        if address < 0:
-            raise SimulationError(f"negative memory address {address}")
         opcode = Opcode.TILE_STORE_T
+        nbytes = memory_bytes_for(opcode, self.geometry)
+        if address < 0 or nbytes >= _NBYTES_BOUND:
+            _reject_access(address, nbytes)
         self._rows.append(
             (
                 _KIND_TILE,
@@ -226,7 +242,7 @@ class TraceBuilder:
                 encode_register(src),
                 _NO_REG,
                 address,
-                memory_bytes_for(opcode, self.geometry),
+                nbytes,
                 self._label(""),
                 self._label(label),
                 -1,
@@ -270,16 +286,16 @@ class TraceBuilder:
     # -- vector / scalar ops ----------------------------------------------------
 
     def vector_load(self, dst_reg: int, address: int, nbytes: int = 64, label: str = "") -> None:
-        if address < 0:
-            raise SimulationError(f"negative memory address {address}")
+        if address < 0 or not 0 <= nbytes < _NBYTES_BOUND:
+            _reject_access(address, nbytes)
         label_id = self._label(label)
         self._rows.append(
             (_KIND_VLOAD, -1, dst_reg, _NO_REG, _NO_REG, address, nbytes, label_id, label_id, -1)
         )
 
     def vector_store(self, src_reg: int, address: int, nbytes: int = 64, label: str = "") -> None:
-        if address < 0:
-            raise SimulationError(f"negative memory address {address}")
+        if address < 0 or not 0 <= nbytes < _NBYTES_BOUND:
+            _reject_access(address, nbytes)
         label_id = self._label(label)
         self._rows.append(
             (_KIND_VSTORE, -1, _NO_REG, src_reg, _NO_REG, address, nbytes, label_id, label_id, -1)
@@ -383,13 +399,23 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)`` by one sort.
 
     NumPy 2's hash-based ``np.unique`` is many times slower than a sort on
-    int64 cache-line streams.
+    int64 cache-line streams, so every distinct-value computation of the
+    trace and topology layers goes through here.
     """
     ordered = np.sort(values)
     keep = np.empty(len(ordered), dtype=bool)
     keep[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+def _first_appearance_ranks(values: np.ndarray) -> np.ndarray:
+    """Each value replaced by the rank of its first appearance (0, 1, ...)."""
+    _, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first_index, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank[inverse]
 
 
 def lru_outcome_bits(ids: np.ndarray, num_sets: int, associativity: int) -> np.ndarray:
@@ -442,7 +468,7 @@ def _level_evicts(level, ids: np.ndarray) -> bool:
     Otherwise the level can never evict on this stream: every access
     resolves by first-touch residency, with no LRU replay needed.
     """
-    per_set = np.bincount(np.unique(ids) % level.num_sets, minlength=level.num_sets)
+    per_set = np.bincount(_sorted_unique(ids) % level.num_sets, minlength=level.num_sets)
     return bool(per_set.max(initial=0) > level.associativity)
 
 
@@ -725,7 +751,7 @@ class ColumnarTrace(Sequence):
         Equivalent to interning :func:`repro.cpu.fastsim.op_signature` tuples
         op by op, but derived from the packed content words, so the result
         depends only on the trace content (never on hash seeds or interning
-        history) and costs two ``np.unique`` passes instead of a Python loop.
+        history) and costs two sort passes instead of a Python loop.
         The per-op ``feed`` overhead is part of the signature (it changes the
         engine-pipeline timing), folded in via a second factorisation stage
         because the packed word itself is full at 63 bits: the sorted-unique
@@ -735,15 +761,9 @@ class ColumnarTrace(Sequence):
         if self._signature_ids is None:
             packed = self._packed_signatures()
             feed = self.columns["feed"].astype(np.int64) + 1
-            values = np.unique(packed)
+            values = _sorted_unique(packed)
             combined = np.searchsorted(values, packed) * np.int64(_FEED_BOUND) + feed
-            _, first_index, inverse = np.unique(
-                combined, return_index=True, return_inverse=True
-            )
-            order = np.argsort(first_index, kind="stable")
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order), dtype=np.int64)
-            self._signature_ids = rank[inverse]
+            self._signature_ids = _first_appearance_ranks(combined)
         return self._signature_ids
 
     def summarize_span(self, start: int, end: int) -> TraceSummary:
@@ -792,7 +812,7 @@ class ColumnarTrace(Sequence):
         if not mask.any():
             return []
         packed = addresses[mask] * np.int64(_NBYTES_BOUND) + cols["nbytes"][mask]
-        unique = np.unique(packed)
+        unique = _sorted_unique(packed)
         return [
             (int(value) // _NBYTES_BOUND, int(value) % _NBYTES_BOUND) for value in unique
         ]
@@ -829,7 +849,7 @@ class ColumnarTrace(Sequence):
 
     def footprint_line_numbers(self, line_bytes: int) -> np.ndarray:
         """Distinct cache-line numbers referenced by the trace."""
-        return np.unique(self._line_expansion(line_bytes))
+        return _sorted_unique(self._line_expansion(line_bytes))
 
     def span_lines(
         self, starts: Sequence[int], line_bytes: int
@@ -969,11 +989,7 @@ class ColumnarTrace(Sequence):
         digest = hashlib.sha256()
         if not len(lines):
             return digest.digest()
-        _, first_index, inverse = np.unique(lines, return_index=True, return_inverse=True)
-        order = np.argsort(first_index, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        digest.update(np.ascontiguousarray(rank[inverse]).tobytes())
+        digest.update(np.ascontiguousarray(_first_appearance_ranks(lines)).tobytes())
 
         l1_evicts = _level_evicts(machine.l1, lines)
         l1_hits = self.level_outcomes(machine.l1, l1_evicts)

@@ -88,8 +88,8 @@ from .trace import TraceSummary, trace_memory_footprint
 
 #: Environment variable disabling block-signature memoization (set to any
 #: value other than ``0``); every core is then simulated individually.  The
-#: layer-kernel memo of :func:`repro.analysis.runtime.build_layer_kernel`
-#: honours it too.
+#: kernel memo of :func:`repro.kernels.sharding.build_kernel` (which every
+#: layer-kernel and shard build goes through) honours it too.
 NO_MEMO_ENV = "REPRO_NO_MEMO"
 
 

@@ -44,6 +44,7 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import SimulationError
+from .columnar import _sorted_unique
 
 #: Hard bound on arbiter iterations (a runaway-model backstop; the loop steps
 #: from core completion to core completion, so it can only trip on a genuinely
@@ -352,7 +353,7 @@ def resolve_traffic(
         if node.capacity_bytes is not None:
             domain_footprints = [footprints[core] for core in domain]
             combined_lines = (
-                int(np.unique(np.concatenate(domain_footprints)).size)
+                int(_sorted_unique(np.concatenate(domain_footprints)).size)
                 if domain_footprints
                 else 0
             )

@@ -242,7 +242,8 @@ def trace_memory_footprint(trace: Iterable[TraceOp]) -> List[Tuple[int, int]]:
 
     Used by the simulator to pre-warm the L2 when modelling the paper's
     "data is prefetched into L2" assumption.  Columnar traces answer from
-    their address column via ``np.unique``.
+    their address column with one sort
+    (:meth:`~repro.cpu.columnar.ColumnarTrace.memory_regions`).
     """
     if getattr(trace, "has_columns", False):
         return trace.memory_regions()

@@ -31,11 +31,12 @@ memoization notes in ``repro.cpu.multicore``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..cpu.multicore import memoization_enabled
 from ..cpu.topology import TopologyNode, place_cores
 from ..errors import KernelError
 from ..types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern, TileGeometry
@@ -62,6 +63,17 @@ def _check_kernel(kind: str, geometry: TileGeometry) -> None:
         )
 
 
+#: The most recently built kernel, keyed by every :func:`build_kernel`
+#: argument (at most one entry, bounding what is held between calls).
+#: Sweeps build equal kernels back to back — fig13's engines sharing one
+#: layer kernel, a scaling workload's ``cores=1`` shards and its
+#: single-core baseline, a shard's idle cores — and those calls share one
+#: program: its trace, its lazily materialised ops and its per-trace cache
+#: outcomes are built once.  Programs are never modified after
+#: construction, which is what makes the sharing safe.
+_KERNEL_MEMO: Dict[tuple, KernelProgram] = {}
+
+
 def build_kernel(
     kind: str,
     shape: GemmShape,
@@ -75,25 +87,44 @@ def build_kernel(
     """Build the ``kind`` kernel, or only the block-grid cells in ``blocks``.
 
     ``blocks=None`` emits the whole, unsharded kernel; the arguments mean
-    what they mean for :func:`shard_kernel`.
+    what they mean for :func:`shard_kernel`.  A call with the same
+    arguments as the previous one returns the previous program
+    (``REPRO_NO_MEMO=1`` always builds afresh).
     """
     _check_kernel(kind, geometry)
-    if kind == "gemm":
-        return build_dense_gemm_kernel(
-            shape,
-            include_loop_overhead=include_loop_overhead,
-            max_output_tiles=max_output_tiles,
-            blocks=blocks,
-            geometry=geometry,
-        )
-    builder = build_spmm_kernel if kind == "spmm" else build_spgemm_kernel
-    return builder(
+    key = (
+        kind,
         shape,
         pattern,
-        include_loop_overhead=include_loop_overhead,
-        max_output_tiles=max_output_tiles,
-        blocks=blocks,
+        None if blocks is None else tuple(tuple(cell) for cell in blocks),
+        include_loop_overhead,
+        max_output_tiles,
+        geometry,
     )
+    memo = memoization_enabled()
+    program = _KERNEL_MEMO.get(key) if memo else None
+    if program is None:
+        if kind == "gemm":
+            program = build_dense_gemm_kernel(
+                shape,
+                include_loop_overhead=include_loop_overhead,
+                max_output_tiles=max_output_tiles,
+                blocks=blocks,
+                geometry=geometry,
+            )
+        else:
+            builder = build_spmm_kernel if kind == "spmm" else build_spgemm_kernel
+            program = builder(
+                shape,
+                pattern,
+                include_loop_overhead=include_loop_overhead,
+                max_output_tiles=max_output_tiles,
+                blocks=blocks,
+            )
+        if memo:
+            _KERNEL_MEMO.clear()
+            _KERNEL_MEMO[key] = program
+    return program
 
 
 @dataclass(frozen=True)
@@ -292,8 +323,9 @@ def shard_kernel(
             max_output_tiles=max_output_tiles,
             geometry=geometry,
         )
-        program.label = f"{program.label}@core{core}/{cores}"
-        programs.append(program)
+        # A labelled copy: the built program may be shared through the
+        # kernel memo, so it is never relabelled in place.
+        programs.append(replace(program, label=f"{program.label}@core{core}/{cores}"))
     return ShardedKernel(
         kind=kind,
         shape=shape,

@@ -220,7 +220,11 @@ class TestHeadlineSpeedups:
 
 
 class TestKernelMemo:
-    """``build_layer_kernel`` shares one program between adjacent equal builds."""
+    """``build_layer_kernel`` shares one program between adjacent equal builds.
+
+    The memo is :func:`repro.kernels.sharding.build_kernel`'s, shared with
+    every other builder route (see ``tests/kernels/test_sharding.py``).
+    """
 
     @pytest.fixture(autouse=True)
     def _memo_enabled(self, monkeypatch):
@@ -240,6 +244,29 @@ class TestKernelMemo:
             layer, SparsityPattern.SPARSE_1_4, get_engine("VEGETA-S-16-2"), max_output_tiles=1
         )
         assert other is not first
+
+    def test_layer_kernels_share_the_build_kernel_memo(self):
+        from repro.kernels.sharding import build_kernel
+
+        layer = get_layer("BERT-L2")
+        sparse = build_layer_kernel(
+            layer, SparsityPattern.SPARSE_2_4, get_engine("VEGETA-S-2-2"), max_output_tiles=1
+        )
+        assert build_kernel(
+            "spmm", layer.gemm, SparsityPattern.SPARSE_2_4, max_output_tiles=1
+        ) is sparse
+        # The STC-like engine executes 1:4 weights on its 2:4 path.
+        assert build_layer_kernel(
+            layer, SparsityPattern.SPARSE_1_4, resolve_engine("STC-like"), max_output_tiles=1
+        ) is sparse
+        sme = resolve_engine("sme")
+        dense = build_kernel(
+            "gemm", layer.gemm, SparsityPattern.DENSE_4_4,
+            max_output_tiles=1, geometry=sme.geometry,
+        )
+        assert build_layer_kernel(
+            layer, SparsityPattern.SPARSE_2_4, sme, max_output_tiles=1
+        ) is dense
 
     def test_dense_kernels_are_keyed_by_geometry(self):
         layer = get_layer("BERT-L2")

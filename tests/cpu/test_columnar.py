@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import isa
 from repro.core.engine import get_engine
@@ -14,11 +14,13 @@ from repro.cpu.columnar import (
     ColumnarTrace,
     TraceBuilder,
     _level_evicts,
+    _sorted_unique,
     lru_outcome_bits,
 )
 from repro.cpu.fastsim import op_signature
 from repro.cpu.params import CacheParams, MachineParams, default_machine
 from repro.cpu.simulator import CycleApproximateSimulator
+from repro.errors import SimulationError
 from repro.cpu.trace import (
     TraceOp,
     TraceOpKind,
@@ -358,3 +360,60 @@ class TestSimulationKey:
     def test_empty_trace_has_a_key(self):
         empty = TraceBuilder().finish()
         assert empty.simulation_key(default_machine(), None) is not None
+
+
+class TestSortedUnique:
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-4, 4),
+                st.integers(-(2**63), 2**63 - 1),
+            ),
+            max_size=300,
+        )
+    )
+    @example([])
+    @example([-3, 7, -3, 0, 7, 7])
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_unique(self, values):
+        array = np.asarray(values, dtype=np.int64)
+        result = _sorted_unique(array)
+        expected = np.unique(array)
+        assert result.dtype == expected.dtype == np.int64
+        assert result.tolist() == expected.tolist()
+
+
+class TestAccessBounds:
+    """Memory accesses must fit the packed ``(address, nbytes)`` region word."""
+
+    @pytest.mark.parametrize("emit", ["vector_load", "vector_store"])
+    @pytest.mark.parametrize("nbytes", [8192, 8200, -1])
+    def test_unpackable_size_is_rejected_at_emission(self, emit, nbytes):
+        builder = TraceBuilder()
+        with pytest.raises(SimulationError, match="packing bound"):
+            getattr(builder, emit)(0, 4096, nbytes)
+        assert len(builder) == 0
+
+    @pytest.mark.parametrize("emit", ["vector_load", "vector_store"])
+    def test_negative_address_is_still_rejected(self, emit):
+        with pytest.raises(SimulationError, match="negative memory address"):
+            getattr(TraceBuilder(), emit)(0, -64)
+
+    @pytest.mark.parametrize("emit", ["vector_load", "vector_store"])
+    def test_largest_packable_size_keeps_its_region(self, emit):
+        builder = TraceBuilder()
+        getattr(builder, emit)(0, 4096, 8191)
+        trace = builder.finish()
+        assert trace.memory_regions() == [(4096, 8191)]
+        assert trace_memory_footprint(list(trace.ops())) == [(4096, 8191)]
+
+    def test_oversized_tile_access_is_rejected(self):
+        # 64 rows x 256 B tiles move 16 KiB per load, past the 8 KiB field.
+        from repro.types import TileGeometry
+
+        builder = TraceBuilder(TileGeometry(name="wide", rows=64, row_bytes=256))
+        with pytest.raises(SimulationError, match="packing bound"):
+            builder.tile_load_t(treg(0), 4096)
+        with pytest.raises(SimulationError, match="packing bound"):
+            builder.tile_store_t(4096, treg(0))
+        assert len(builder) == 0

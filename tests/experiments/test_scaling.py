@@ -66,6 +66,55 @@ class TestSpec:
             assert spec.cache_key(trial)
 
 
+class TestKernelSharing:
+    def test_one_core_trial_and_its_baseline_share_one_program(
+        self, tiny_workloads, monkeypatch, tmp_path
+    ):
+        # The cores=1 shard and the single-core baseline are the same
+        # build, so the kernel memo hands both one trace, and its L1 outcome
+        # stream is replayed once for the memo key and the oracle of both.
+        import repro.cpu.columnar as columnar
+        import repro.experiments.figures as figures
+        import repro.kernels.sharding as sharding
+        from repro.cpu.params import MachineParams
+        from repro.experiments.cache import CACHE_DIR_ENV
+
+        monkeypatch.delenv("REPRO_NO_MEMO", raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(figures, "_SCALING_BASELINES", {})
+        machine = MachineParams.from_dict(tiny_workloads[0]["machine"])
+        shard_kernel, level_hits = sharding.shard_kernel, columnar._level_hits
+        shards, l1_replays = [], []
+
+        def recording_shard(*args, **kwargs):
+            shards.append(shard_kernel(*args, **kwargs))
+            return shards[-1]
+
+        def counting_hits(level, ids, evicts):
+            if level == machine.l1:
+                l1_replays.append(len(ids))
+            return level_hits(level, ids, evicts)
+
+        monkeypatch.setattr(sharding, "shard_kernel", recording_shard)
+        monkeypatch.setattr(columnar, "_level_hits", counting_hits)
+        table = run_named(
+            "scaling",
+            {
+                "workloads": tiny_workloads,
+                "cores": [1],
+                "strategies": ["row-block"],
+                "topologies": ["flat"],
+            },
+            jobs=1,
+            cache=False,
+        )
+        (row,) = table.rows
+        assert row["single_core_match"] is True
+        trial, baseline = (sharded.programs[0] for sharded in shards)
+        assert baseline.trace is trial.trace
+        assert len(l1_replays) == 1
+
+
 class TestRunner:
     def test_single_workload_sweep(self, tiny_workloads):
         table = run_named(

@@ -7,6 +7,7 @@ through the C layout, so a builder that silently dropped or duplicated a tile
 would fail even if the partition lists looked right.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,9 +16,9 @@ from repro.cpu.params import dual_socket_machine, get_topology, topology_names
 from repro.cpu.simulator import CycleApproximateSimulator
 from repro.errors import KernelError
 from repro.kernels.gemm import dense_block_grid
-from repro.kernels.sharding import shard_kernel
+from repro.kernels.sharding import build_kernel, shard_kernel
 from repro.kernels.tiling import PARTITION_STRATEGIES, TileGrid, partition_grid
-from repro.types import GemmShape, SparsityPattern
+from repro.types import DEFAULT_GEOMETRY, GemmShape, SparsityPattern
 
 ENGINE = resolve_engine("VEGETA-S-16-2+OF+SPGEMM")
 
@@ -303,3 +304,84 @@ class TestFastMatchesExact:
             exact = exact_sim.run(program.trace)
             assert fast.core_cycles == exact.core_cycles
             assert fast.memory_counters == exact.memory_counters
+
+
+class TestKernelMemo:
+    """``build_kernel`` shares one program between adjacent equal builds."""
+
+    SHAPE = GemmShape(m=64, n=64, k=256)
+
+    @pytest.fixture(autouse=True)
+    def _memo_enabled(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NO_MEMO", raising=False)
+
+    def build(self, kind="gemm", pattern=SparsityPattern.DENSE_4_4, **overrides):
+        arguments = dict(
+            blocks=None,
+            include_loop_overhead=True,
+            max_output_tiles=None,
+            geometry=DEFAULT_GEOMETRY,
+        )
+        arguments.update(overrides)
+        return build_kernel(kind, self.SHAPE, pattern, **arguments)
+
+    def test_equal_arguments_share_one_program(self):
+        first = self.build(blocks=[[0, 0], [0, 1]])
+        # Lists and tuples spell the same cells, so they are one key.
+        assert self.build(blocks=((0, 0), (0, 1))) is first
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"blocks": ((0, 0),)},
+            {"blocks": ()},
+            {"include_loop_overhead": False},
+            {"max_output_tiles": 1},
+            {"geometry": resolve_engine("AMX-like").geometry},
+            {"kind": "spmm", "pattern": SparsityPattern.SPARSE_2_4},
+        ],
+        ids=["blocks", "no-blocks", "loop-overhead", "max-output-tiles", "geometry", "kind"],
+    )
+    def test_any_changed_argument_builds_afresh(self, override):
+        whole = self.build()
+        changed = self.build(**override)
+        assert changed is not whole
+        # One entry: the changed build replaced the whole kernel's.
+        assert self.build() is not whole
+
+    def test_sparse_kernels_are_keyed_by_pattern_and_kind(self):
+        spmm = self.build("spmm", SparsityPattern.SPARSE_2_4)
+        assert self.build("spmm", SparsityPattern.SPARSE_1_4) is not spmm
+        assert self.build("spgemm", SparsityPattern.SPARSE_1_4) is not spmm
+
+    def test_no_memo_switch_builds_afresh(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_MEMO", "1")
+        first = self.build()
+        second = self.build()
+        assert second is not first
+        assert np.array_equal(second.trace.columns, first.trace.columns)
+
+    def test_one_core_shards_share_the_unsharded_build(self):
+        row_block = shard_kernel("gemm", self.SHAPE, SparsityPattern.DENSE_4_4, 1)
+        cyclic = shard_kernel(
+            "gemm", self.SHAPE, SparsityPattern.DENSE_4_4, 1, "2d-cyclic"
+        )
+        first, second = row_block.programs[0], cyclic.programs[0]
+        assert second.trace is first.trace
+        # Each shard is a relabelled copy, so a shared build never
+        # accumulates core suffixes.
+        assert first.label == second.label
+        assert first.label.endswith("@core0/1") and first.label.count("@") == 1
+        assert self.build(blocks=row_block.blocks[0]).label == first.label[: -len("@core0/1")]
+
+    def test_idle_cores_share_one_empty_program(self):
+        sharded = shard_kernel("gemm", self.SHAPE, SparsityPattern.DENSE_4_4, 8)
+        idle = [core for core, cells in enumerate(sharded.blocks) if not cells]
+        assert len(idle) >= 2
+        programs = [sharded.programs[core] for core in idle]
+        assert not any(len(program.trace) for program in programs)
+        assert len({id(program.trace) for program in programs}) == 1
+        base = programs[0].label.split("@")[0]
+        assert [program.label for program in programs] == [
+            f"{base}@core{core}/8" for core in idle
+        ]
